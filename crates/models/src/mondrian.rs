@@ -7,11 +7,11 @@
 //! the interval containing it. Splits recurse on the attribute with the
 //! widest normalized range, at the median, and only while both halves keep
 //! at least k tuples — so the result is k-anonymous whenever the table has
-//! at least k rows.
+//! at least k rows. A table with fewer rows has every row suppressed.
 
 use incognito_table::{Table, TableError};
 
-use crate::release::{build_view_from_labels, AnonymizedRelease};
+use crate::release::{build_view_from_labels, fully_suppressed_release, AnonymizedRelease};
 
 /// Run strict Mondrian over `qi` (attribute domains are treated as
 /// totally-ordered sets in ground-dictionary order, which the dataset
@@ -21,8 +21,11 @@ pub fn mondrian_anonymize(
     qi: &[usize],
     k: u64,
 ) -> Result<AnonymizedRelease, TableError> {
-    let schema = table.schema().clone();
     let n_rows = table.num_rows();
+    if (n_rows as u64) < k {
+        return fully_suppressed_release(table, qi);
+    }
+    let schema = table.schema().clone();
     let domains: Vec<usize> = qi.iter().map(|&a| schema.hierarchy(a).ground_size()).collect();
 
     // Recursive splitting over row-index partitions.
@@ -214,10 +217,13 @@ mod tests {
     }
 
     #[test]
-    fn k_larger_than_table_not_anonymous_but_single_class() {
+    fn fewer_rows_than_k_suppresses_every_row() {
         let t = patients();
         let r = mondrian_anonymize(&t, &[0, 1, 2], 10).unwrap();
-        assert_eq!(r.num_classes(), 1);
-        assert!(!r.is_k_anonymous(10));
+        assert_eq!(r.suppressed, 6);
+        assert_eq!(r.num_classes(), 0);
+        assert!(r.kept_rows.is_empty());
+        assert_eq!(r.view.num_rows(), 0);
+        assert!(r.is_k_anonymous(10));
     }
 }

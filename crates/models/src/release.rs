@@ -172,6 +172,27 @@ pub(crate) fn build_view_from_labels(
     Ok((view, class_sizes))
 }
 
+/// The release of a table with fewer than `k` rows: no recoding can put k
+/// rows in one class, so every row is suppressed and charges full loss.
+pub(crate) fn fully_suppressed_release(
+    table: &Table,
+    qi: &[usize],
+) -> Result<AnonymizedRelease, TableError> {
+    let n_rows = table.num_rows();
+    let (view, class_sizes) = build_view_from_labels(table, qi, &[], &[])?;
+    let loss = n_rows as f64 * qi.len() as f64;
+    Ok(AnonymizedRelease {
+        view,
+        qi: qi.to_vec(),
+        suppressed: n_rows as u64,
+        kept_rows: Vec::new(),
+        source_rows: n_rows as u64,
+        class_sizes,
+        precision_loss: loss,
+        lm_loss: loss,
+    })
+}
+
 /// Equivalence-class sizes of `view` over `qi` at the view's ground level.
 pub(crate) fn class_sizes_of(view: &Table, qi: &[usize]) -> Result<Vec<u64>, TableError> {
     let freq = view.frequency_set(&GroupSpec::ground(qi)?)?;

@@ -9,99 +9,43 @@
 //! and ⟨Female, 53710⟩ there too.
 //!
 //! A used node is identified by a level vector plus the generalized value
-//! vector; the subgraph-closure invariant is maintained by a fix-point:
-//! whenever two used nodes' subgraphs overlap on any vector present in the
-//! table, both are raised to their join until no overlap remains.
+//! vector (its image). The greedy search keeps an index from used nodes to
+//! their row counts, repeatedly raises one attribute of the smallest node
+//! holding fewer than k rows, and then restores the subgraph-closure
+//! invariant incrementally: a worklist holds the vectors whose level
+//! vectors just rose, and each one raises every vector inside its new
+//! node's subgraph to (at least) that level vector. Raises only grow level
+//! vectors, and two vectors that share an image at `L` share it at every
+//! `L' ≥ L`, so the worklist reaches the same least fixed point whatever
+//! order it runs in.
 
 use incognito_hierarchy::LevelNo;
 use incognito_table::fxhash::FxHashMap;
 use incognito_table::{Schema, Table, TableError};
 
-use crate::release::{build_view_from_labels, subtree_sizes, AnonymizedRelease};
+use crate::release::{
+    build_view_from_labels, fully_suppressed_release, subtree_sizes, AnonymizedRelease,
+};
 
-/// Greedy multi-dimension full-subgraph recoding to k-anonymity.
+/// A used node of the multi-attribute lattice: a level vector and the
+/// image of its members at those levels.
+type Node = (Vec<LevelNo>, Vec<u32>);
+
+/// Greedy multi-dimension full-subgraph recoding to k-anonymity. A table
+/// with fewer than `k` rows has no k-anonymous recoding, so every row is
+/// suppressed.
 pub fn full_subgraph_anonymize(
     table: &Table,
     qi: &[usize],
     k: u64,
 ) -> Result<AnonymizedRelease, TableError> {
-    let schema = table.schema().clone();
     let n_rows = table.num_rows();
-
-    // Distinct ground QI vectors and the rows holding each.
-    let mut vectors: Vec<Vec<u32>> = Vec::new();
-    let mut vec_rows: Vec<Vec<usize>> = Vec::new();
-    {
-        let mut index: FxHashMap<Vec<u32>, usize> = FxHashMap::default();
-        for row in 0..n_rows {
-            let v: Vec<u32> = qi.iter().map(|&a| table.column(a)[row]).collect();
-            let slot = *index.entry(v.clone()).or_insert_with(|| {
-                vectors.push(v);
-                vec_rows.push(Vec::new());
-                vectors.len() - 1
-            });
-            vec_rows[slot].push(row);
-        }
+    if (n_rows as u64) < k {
+        return fully_suppressed_release(table, qi);
     }
-
-    // levels[i] = assigned level vector of ground vector i.
-    let mut levels: Vec<Vec<LevelNo>> = vec![vec![0; qi.len()]; vectors.len()];
-    let heights: Vec<LevelNo> = qi.iter().map(|&a| schema.hierarchy(a).height()).collect();
-
-    let image = |schema: &Schema, v: &[u32], ls: &[LevelNo]| -> Vec<u32> {
-        qi.iter()
-            .enumerate()
-            .map(|(pos, &a)| schema.hierarchy(a).generalize(v[pos], ls[pos]))
-            .collect()
-    };
-
-    loop {
-        // Group vectors by their released node (levels + image).
-        let mut groups: FxHashMap<(Vec<LevelNo>, Vec<u32>), Vec<usize>> = FxHashMap::default();
-        for (i, v) in vectors.iter().enumerate() {
-            let key = (levels[i].clone(), image(&schema, v, &levels[i]));
-            groups.entry(key).or_default().push(i);
-        }
-        let violator = groups
-            .iter()
-            .map(|(key, members)| {
-                let size: usize = members.iter().map(|&i| vec_rows[i].len()).sum();
-                (size, key.clone(), members.clone())
-            })
-            .filter(|(size, _, _)| (*size as u64) < k)
-            .min_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        let Some((_, (node_levels, _node_vals), members)) = violator else { break };
-
-        // Promote the first promotable attribute with the most headroom
-        // (deepest remaining chain), preferring wide domains.
-        let promote_pos = (0..qi.len())
-            .filter(|&pos| node_levels[pos] < heights[pos])
-            .max_by_key(|&pos| {
-                (heights[pos] - node_levels[pos]) as usize
-                    * schema.hierarchy(qi[pos]).ground_size()
-            });
-        let Some(pos) = promote_pos else { break };
-        let mut new_levels = node_levels.clone();
-        new_levels[pos] += 1;
-        let anchor = image(&schema, &vectors[members[0]], &new_levels);
-
-        // Subgraph closure: every vector whose image at the new levels is
-        // the anchor moves to the new node (absorbing members of other
-        // nodes as the model requires).
-        for (i, v) in vectors.iter().enumerate() {
-            if image(&schema, v, &new_levels) == anchor {
-                for (pos2, l) in levels[i].iter_mut().enumerate() {
-                    *l = (*l).max(new_levels[pos2]);
-                }
-                // Raising component-wise can overshoot the anchor's levels
-                // for vectors previously promoted elsewhere; those keep
-                // their higher levels — the fix-point below reconciles.
-            }
-        }
-
-        // Fix-point: eliminate partial subgraph overlaps by joining nodes.
-        resolve_overlaps(&schema, qi, &vectors, &mut levels);
-    }
+    let schema = table.schema();
+    let (vectors, vec_rows) = distinct_vectors(table, qi);
+    let levels = Recoding::new(schema, qi, &vectors, &vec_rows).greedy(k);
 
     // Materialize.
     let sizes: Vec<Vec<Vec<usize>>> =
@@ -146,46 +90,162 @@ pub fn full_subgraph_anonymize(
     })
 }
 
-/// Raise nodes until no used node's subgraph contains a vector assigned to
-/// a different node — the full-subgraph validity invariant.
-fn resolve_overlaps(
-    schema: &Schema,
-    qi: &[usize],
-    vectors: &[Vec<u32>],
-    levels: &mut [Vec<LevelNo>],
-) {
-    let image = |v: &[u32], ls: &[LevelNo]| -> Vec<u32> {
-        qi.iter()
-            .enumerate()
-            .map(|(pos, &a)| schema.hierarchy(a).generalize(v[pos], ls[pos]))
-            .collect()
-    };
-    loop {
-        let mut changed = false;
-        // Collect used nodes.
-        let mut nodes: FxHashMap<(Vec<LevelNo>, Vec<u32>), Vec<usize>> = FxHashMap::default();
-        for (i, v) in vectors.iter().enumerate() {
-            nodes
-                .entry((levels[i].clone(), image(v, &levels[i])))
-                .or_default()
-                .push(i);
+/// Distinct ground QI vectors in first-occurrence order, and the rows
+/// holding each.
+fn distinct_vectors(table: &Table, qi: &[usize]) -> (Vec<Vec<u32>>, Vec<Vec<usize>>) {
+    let mut vectors: Vec<Vec<u32>> = Vec::new();
+    let mut vec_rows: Vec<Vec<usize>> = Vec::new();
+    let mut index: FxHashMap<Vec<u32>, usize> = FxHashMap::default();
+    for row in 0..table.num_rows() {
+        let v: Vec<u32> = qi.iter().map(|&a| table.column(a)[row]).collect();
+        let slot = *index.entry(v.clone()).or_insert_with(|| {
+            vectors.push(v);
+            vec_rows.push(Vec::new());
+            vectors.len() - 1
+        });
+        vec_rows[slot].push(row);
+    }
+    (vectors, vec_rows)
+}
+
+/// The greedy search state, kept across steps.
+struct Recoding<'a> {
+    schema: &'a Schema,
+    qi: &'a [usize],
+    /// `maps[pos][l]`: the γ⁺ gather array of QI attribute `pos` to level `l`.
+    maps: Vec<Vec<&'a [u32]>>,
+    vectors: &'a [Vec<u32>],
+    /// Rows holding each vector.
+    rows: Vec<u64>,
+    /// Assigned level vector of each vector.
+    levels: Vec<Vec<LevelNo>>,
+    /// Node index: every used node and the rows its members hold. A node
+    /// leaves the index when its last member is raised out of it.
+    nodes: FxHashMap<Node, u64>,
+    /// Vectors raised since their new node's subgraph was last absorbed.
+    worklist: Vec<usize>,
+    queued: Vec<bool>,
+}
+
+impl<'a> Recoding<'a> {
+    /// Every vector at the bottom of the lattice, each its own node.
+    fn new(
+        schema: &'a Schema,
+        qi: &'a [usize],
+        vectors: &'a [Vec<u32>],
+        vec_rows: &[Vec<usize>],
+    ) -> Self {
+        let maps = qi
+            .iter()
+            .map(|&a| {
+                let h = schema.hierarchy(a);
+                (0..=h.height()).map(|l| h.map_to_level(l)).collect()
+            })
+            .collect();
+        let rows: Vec<u64> = vec_rows.iter().map(|r| r.len() as u64).collect();
+        let bottom: Vec<LevelNo> = vec![0; qi.len()];
+        let nodes = vectors.iter().zip(&rows).map(|(v, &r)| ((bottom.clone(), v.clone()), r));
+        Recoding {
+            schema,
+            qi,
+            maps,
+            vectors,
+            nodes: nodes.collect(),
+            rows,
+            levels: vec![bottom; vectors.len()],
+            worklist: Vec::new(),
+            queued: vec![false; vectors.len()],
         }
-        let node_list: Vec<(Vec<LevelNo>, Vec<u32>)> = nodes.keys().cloned().collect();
-        for (nl, nv) in &node_list {
-            for (i, v) in vectors.iter().enumerate() {
-                // Is vector i inside this node's subgraph but assigned
-                // elsewhere?
-                if &levels[i] != nl && image(v, nl) == *nv {
-                    // Join: component-wise max levels.
-                    for (pos, l) in levels[i].iter_mut().enumerate() {
-                        *l = (*l).max(nl[pos]);
-                    }
-                    changed = true;
-                }
+    }
+
+    /// Raise violating nodes until every used node holds at least `k`
+    /// rows; returns the level vector of each vector.
+    fn greedy(mut self, k: u64) -> Vec<Vec<LevelNo>> {
+        let heights: Vec<LevelNo> =
+            self.qi.iter().map(|&a| self.schema.hierarchy(a).height()).collect();
+        while let Some((mut node_levels, mut anchor)) = self.violator(k) {
+            // Promote the first promotable attribute with the most headroom
+            // (deepest remaining chain), preferring wide domains.
+            let promote_pos = (0..self.qi.len())
+                .filter(|&pos| node_levels[pos] < heights[pos])
+                .max_by_key(|&pos| {
+                    (heights[pos] - node_levels[pos]) as usize
+                        * self.schema.hierarchy(self.qi[pos]).ground_size()
+                });
+            let Some(pos) = promote_pos else { break };
+            anchor[pos] = self.schema.hierarchy(self.qi[pos]).parent(node_levels[pos], anchor[pos]);
+            node_levels[pos] += 1;
+            // Subgraph closure: every vector under the raised node moves
+            // up to it (absorbing members of other nodes as the model
+            // requires); the worklist then settles the knock-on raises.
+            self.absorb(&node_levels, &anchor);
+            while let Some(i) = self.worklist.pop() {
+                self.queued[i] = false;
+                let ls = self.levels[i].clone();
+                let img = self.image(i, &ls);
+                self.absorb(&ls, &img);
             }
         }
-        if !changed {
+        self.levels
+    }
+
+    /// The used node with the fewest rows below `k`, ties broken by the
+    /// node itself.
+    fn violator(&self, k: u64) -> Option<Node> {
+        self.nodes
+            .iter()
+            .filter(|&(_, &rows)| rows < k)
+            .min_by(|a, b| a.1.cmp(b.1).then_with(|| a.0.cmp(b.0)))
+            .map(|(node, _)| node.clone())
+    }
+
+    fn image(&self, i: usize, ls: &[LevelNo]) -> Vec<u32> {
+        self.vectors[i]
+            .iter()
+            .zip(ls)
+            .zip(&self.maps)
+            .map(|((&g, &l), m)| m[l as usize][g as usize])
+            .collect()
+    }
+
+    /// Raise every vector in the subgraph of node `(ls, img)` to at least
+    /// `ls`.
+    fn absorb(&mut self, ls: &[LevelNo], img: &[u32]) {
+        for i in 0..self.vectors.len() {
+            let inside = self.vectors[i]
+                .iter()
+                .zip(ls)
+                .zip(img)
+                .zip(&self.maps)
+                .all(|(((&g, &l), &x), m)| m[l as usize][g as usize] == x);
+            if inside {
+                self.raise(i, ls);
+            }
+        }
+    }
+
+    /// Join vector `i`'s level vector with `ls`, moving its rows between
+    /// nodes in the index and queueing it if it rose.
+    fn raise(&mut self, i: usize, ls: &[LevelNo]) {
+        if self.levels[i].iter().zip(ls).all(|(have, want)| have >= want) {
             return;
+        }
+        let old: Node = (self.levels[i].clone(), self.image(i, &self.levels[i]));
+        let rows = self.nodes.get_mut(&old).expect("every vector's node is indexed");
+        *rows -= self.rows[i];
+        if *rows == 0 {
+            self.nodes.remove(&old);
+        }
+        let mut joined = old.0;
+        for (l, &want) in joined.iter_mut().zip(ls) {
+            *l = (*l).max(want);
+        }
+        let img = self.image(i, &joined);
+        *self.nodes.entry((joined.clone(), img)).or_default() += self.rows[i];
+        self.levels[i] = joined;
+        if !self.queued[i] {
+            self.queued[i] = true;
+            self.worklist.push(i);
         }
     }
 }
@@ -198,21 +258,127 @@ pub fn is_valid_full_subgraph(
     vectors: &[Vec<u32>],
     levels: &[Vec<LevelNo>],
 ) -> bool {
-    let image = |v: &[u32], ls: &[LevelNo]| -> Vec<u32> {
-        qi.iter()
-            .enumerate()
-            .map(|(pos, &a)| schema.hierarchy(a).generalize(v[pos], ls[pos]))
-            .collect()
-    };
-    for (i, _) in vectors.iter().enumerate() {
-        let (nl, nv) = (&levels[i], image(&vectors[i], &levels[i]));
-        for (j, w) in vectors.iter().enumerate() {
-            if image(w, nl) == nv && levels[j] != *nl {
-                return false;
+    let hierarchies: Vec<_> = qi.iter().map(|&a| schema.hierarchy(a)).collect();
+    let image =
+        |v: &[u32], ls: &[LevelNo], pos: usize| hierarchies[pos].generalize(v[pos], ls[pos]);
+    vectors.iter().zip(levels).all(|(v, nl)| {
+        vectors.iter().zip(levels).all(|(w, wl)| {
+            wl == nl || (0..qi.len()).any(|pos| image(w, nl, pos) != image(v, nl, pos))
+        })
+    })
+}
+
+/// The greedy search as first written: regroup every vector into nodes
+/// at each step and settle overlaps with an all-pairs fix-point over used
+/// nodes × vectors. Kept as the reference the incremental search is
+/// checked against. It differs from the original only in computing images
+/// through the gather arrays and comparing them in place, instead of
+/// allocating one per pair.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// `maps[pos][l]`: the γ⁺ gather array of QI attribute `pos` to level `l`.
+    type Maps<'a> = [Vec<&'a [u32]>];
+
+    pub(super) fn greedy_levels(
+        schema: &Schema,
+        qi: &[usize],
+        vectors: &[Vec<u32>],
+        vec_rows: &[Vec<usize>],
+        k: u64,
+    ) -> Vec<Vec<LevelNo>> {
+        let maps: Vec<Vec<&[u32]>> = qi
+            .iter()
+            .map(|&a| {
+                let h = schema.hierarchy(a);
+                (0..=h.height()).map(|l| h.map_to_level(l)).collect()
+            })
+            .collect();
+        let mut levels: Vec<Vec<LevelNo>> = vec![vec![0; qi.len()]; vectors.len()];
+        let heights: Vec<LevelNo> = qi.iter().map(|&a| schema.hierarchy(a).height()).collect();
+
+        loop {
+            // Group vectors by their released node (levels + image).
+            let mut groups: FxHashMap<(Vec<LevelNo>, Vec<u32>), Vec<usize>> =
+                FxHashMap::default();
+            for (i, v) in vectors.iter().enumerate() {
+                let key = (levels[i].clone(), image(&maps, v, &levels[i]));
+                groups.entry(key).or_default().push(i);
+            }
+            let violator = groups
+                .iter()
+                .map(|(key, members)| {
+                    let size: usize = members.iter().map(|&i| vec_rows[i].len()).sum();
+                    (size, key, members[0])
+                })
+                .filter(|(size, _, _)| (*size as u64) < k)
+                .min_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(b.1)));
+            let Some((_, (node_levels, _), member)) = violator else { break };
+
+            let promote_pos = (0..qi.len())
+                .filter(|&pos| node_levels[pos] < heights[pos])
+                .max_by_key(|&pos| {
+                    (heights[pos] - node_levels[pos]) as usize
+                        * schema.hierarchy(qi[pos]).ground_size()
+                });
+            let Some(pos) = promote_pos else { break };
+            let mut new_levels = node_levels.clone();
+            new_levels[pos] += 1;
+            let anchor = image(&maps, &vectors[member], &new_levels);
+
+            for (i, v) in vectors.iter().enumerate() {
+                if inside(&maps, v, &new_levels, &anchor) {
+                    for (pos2, l) in levels[i].iter_mut().enumerate() {
+                        *l = (*l).max(new_levels[pos2]);
+                    }
+                }
+            }
+
+            resolve_overlaps(&maps, vectors, &mut levels);
+        }
+        levels
+    }
+
+    /// Raise nodes until no used node's subgraph contains a vector
+    /// assigned to a different node.
+    fn resolve_overlaps(maps: &Maps, vectors: &[Vec<u32>], levels: &mut [Vec<LevelNo>]) {
+        loop {
+            let mut changed = false;
+            let mut nodes: FxHashMap<(Vec<LevelNo>, Vec<u32>), Vec<usize>> =
+                FxHashMap::default();
+            for (i, v) in vectors.iter().enumerate() {
+                nodes.entry((levels[i].clone(), image(maps, v, &levels[i]))).or_default().push(i);
+            }
+            let node_list: Vec<(Vec<LevelNo>, Vec<u32>)> = nodes.keys().cloned().collect();
+            for (nl, nv) in &node_list {
+                for (i, v) in vectors.iter().enumerate() {
+                    if inside(maps, v, nl, nv) && &levels[i] != nl {
+                        for (pos, l) in levels[i].iter_mut().enumerate() {
+                            *l = (*l).max(nl[pos]);
+                        }
+                        changed = true;
+                    }
+                }
+            }
+            if !changed {
+                return;
             }
         }
     }
-    true
+
+    fn image(maps: &Maps, v: &[u32], ls: &[LevelNo]) -> Vec<u32> {
+        maps.iter().zip(v).zip(ls).map(|((m, &g), &l)| m[l as usize][g as usize]).collect()
+    }
+
+    /// Whether `v` lies in the subgraph of node `(ls, img)`.
+    fn inside(maps: &Maps, v: &[u32], ls: &[LevelNo], img: &[u32]) -> bool {
+        maps.iter()
+            .zip(v)
+            .zip(ls)
+            .zip(img)
+            .all(|(((m, &g), &l), &x)| m[l as usize][g as usize] == x)
+    }
 }
 
 #[cfg(test)]
@@ -226,6 +392,17 @@ mod tests {
         let r = full_subgraph_anonymize(&t, &[1, 2], 2).unwrap();
         assert!(r.is_k_anonymous(2));
         assert_eq!(r.view.num_rows(), 6);
+    }
+
+    #[test]
+    fn fewer_rows_than_k_suppresses_every_row() {
+        let t = patients();
+        let r = full_subgraph_anonymize(&t, &[1, 2], 10).unwrap();
+        assert_eq!(r.suppressed, 6);
+        assert!(r.class_sizes.is_empty());
+        assert!(r.kept_rows.is_empty());
+        assert_eq!(r.view.num_rows(), 0);
+        assert!(r.is_k_anonymous(10));
     }
 
     #[test]
@@ -249,10 +426,12 @@ mod tests {
 
     #[test]
     fn greedy_result_passes_the_validity_checker() {
-        let t = adults(&AdultsConfig { rows: 400, seed: 17 });
-        let qi = [1usize, 3];
-        let r = full_subgraph_anonymize(&t, &qi, 5).unwrap();
-        assert!(r.is_k_anonymous(5));
+        // About 700 greedy steps, most of them with knock-on raises.
+        let t = adults(&AdultsConfig { rows: 1_000, seed: 17 });
+        let qi = [0usize, 3, 4];
+        let k = 15;
+        let r = full_subgraph_anonymize(&t, &qi, k).unwrap();
+        assert!(r.is_k_anonymous(k));
         // Reconstruct levels from released labels and validate.
         let schema = t.schema().clone();
         let mut index: FxHashMap<Vec<u32>, usize> = FxHashMap::default();
@@ -279,6 +458,43 @@ mod tests {
             levels.push(ls);
         }
         assert!(is_valid_full_subgraph(&schema, &qi, &vectors, &levels));
+    }
+
+    const QIS: [&[usize]; 4] = [&[0, 3, 4], &[0, 1, 3, 4], &[0, 4, 5], &[1, 3]];
+
+    /// Assert that the incremental search assigns every vector the level
+    /// vector the all-pairs oracle does, and that the result is valid.
+    fn assert_matches_oracle(rows: usize, seed: u64, qis: &[&[usize]], ks: &[u64]) {
+        let t = adults(&AdultsConfig { rows, seed });
+        for &qi in qis {
+            let (vectors, vec_rows) = distinct_vectors(&t, qi);
+            for &k in ks {
+                let fast = Recoding::new(t.schema(), qi, &vectors, &vec_rows).greedy(k);
+                let slow = oracle::greedy_levels(t.schema(), qi, &vectors, &vec_rows, k);
+                assert_eq!(fast, slow, "{rows} rows, seed {seed}, QI {qi:?}, k = {k}");
+                assert!(is_valid_full_subgraph(t.schema(), qi, &vectors, &fast));
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_search_matches_the_all_pairs_oracle() {
+        // The benchmark's own input, then 20 seeded 200-row tables. The
+        // oracle's cost grows with the cube of the table's distinct
+        // vectors, so the larger tables live in the ignored test below.
+        assert_matches_oracle(1_000, 1, &[&[0, 3, 4]], &[15]);
+        for seed in 100..120 {
+            assert_matches_oracle(200, seed, &QIS, &[2, 5, 15]);
+        }
+    }
+
+    #[test]
+    #[ignore = "about 3 minutes with the models crate optimized; run with --ignored"]
+    fn incremental_search_matches_the_all_pairs_oracle_up_to_1000_rows() {
+        assert_matches_oracle(1_000, 1, &QIS, &[2, 5, 15]);
+        for i in 0..20 {
+            assert_matches_oracle(200 + 40 * i, 100 + i as u64, &QIS, &[2, 5, 15]);
+        }
     }
 
     #[test]

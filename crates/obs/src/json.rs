@@ -419,13 +419,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are guaranteed valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run of plain bytes up to the next quote or
+                    // backslash. Both are ASCII, so the run ends on a char
+                    // boundary of the input &str and is valid UTF-8.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -527,6 +530,19 @@ mod tests {
         assert_eq!(Json::parse("\"héllo\"").unwrap(), Json::Str("héllo".to_owned()));
         assert_eq!(Json::parse(" [ ] ").unwrap(), Json::Arr(vec![]));
         assert_eq!(Json::parse("{ }").unwrap(), Json::obj());
+    }
+
+    #[test]
+    fn multi_megabyte_strings_parse_in_linear_time() {
+        // 4 MiB of mixed ASCII, multi-byte scalars and escapes. A parser
+        // that re-validates the rest of the input per character takes
+        // minutes here.
+        let chunk = "span-name é 数 \"q\" \\ \n";
+        let big = chunk.repeat(4 * 1024 * 1024 / chunk.len());
+        let doc = Json::Arr(vec![Json::Str(big), Json::Int(1)]);
+        let started = std::time::Instant::now();
+        assert_eq!(Json::parse(&doc.to_compact_string()).unwrap(), doc);
+        assert!(started.elapsed().as_secs() < 10, "took {:?}", started.elapsed());
     }
 
     #[test]
