@@ -12,7 +12,7 @@
 //! `cargo bench -p incognito-bench --bench ablations`.
 
 use incognito_bench::micro::Micro;
-use incognito_core::{incognito, Config};
+use incognito_core::{incognito, incognito_sql, Config};
 use incognito_data::{adults, AdultsConfig};
 use incognito_lattice::{generate_next, CandidateGraph, PruneStrategy};
 
@@ -93,7 +93,7 @@ fn bench_sql_substrate_overhead() {
     let group = Micro::group("ablation_sql_substrate");
     group.case("native_columnar", || incognito(&table, &qi, &Config::new(5)).unwrap());
     group.case("sql_star_schema", || {
-        incognito_star::incognito_sql(&table, &qi, &Config::new(5)).unwrap()
+        incognito_sql(&table, &qi, &Config::new(5)).unwrap()
     });
 }
 

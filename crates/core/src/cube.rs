@@ -174,7 +174,8 @@ pub fn anonymize_with_cube(
     cfg: &Config,
     sink: &mut dyn FnMut(TraceEvent),
 ) -> Result<AnonymizationResult, AlgoError> {
-    let mut result = incognito_impl(table, &cube.qi, cfg, sink, AltSource::Cube(&cube.freq))?;
+    let provider = FreqProvider::new(table, cfg);
+    let mut result = incognito_impl(&provider, &cube.qi, cfg, sink, AltSource::Cube(&cube.freq))?;
     let stats = result.stats_mut();
     stats.timings.cube_build = Some(cube.build_time);
     stats.freq_from_projection = cube.projections;

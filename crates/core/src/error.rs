@@ -1,5 +1,6 @@
 use std::fmt;
 
+use incognito_rel::RelError;
 use incognito_table::{ExternalError, TableError};
 
 /// Errors raised by the anonymization algorithms.
@@ -18,6 +19,9 @@ pub enum AlgoError {
     /// for result comparison, which `std::io::Error` cannot satisfy
     /// structurally.
     Spill(String),
+    /// A relational query of the SQL path failed (a malformed query — a
+    /// bug, surfaced rather than hidden).
+    Rel(RelError),
     /// No k-anonymous generalization exists even at the top of the lattice
     /// (only possible with a suppression threshold smaller than the number
     /// of tuples below k at full generalization).
@@ -34,6 +38,7 @@ impl fmt::Display for AlgoError {
             AlgoError::InvalidK(k) => write!(f, "k must be >= 1, got {k}"),
             AlgoError::Table(e) => write!(f, "table error: {e}"),
             AlgoError::Spill(msg) => write!(f, "spill error: {msg}"),
+            AlgoError::Rel(e) => write!(f, "relational engine: {e}"),
             AlgoError::NoSolution => {
                 write!(f, "no k-anonymous full-domain generalization exists under this budget")
             }
@@ -45,6 +50,7 @@ impl std::error::Error for AlgoError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             AlgoError::Table(e) => Some(e),
+            AlgoError::Rel(e) => Some(e),
             _ => None,
         }
     }
@@ -53,6 +59,12 @@ impl std::error::Error for AlgoError {
 impl From<TableError> for AlgoError {
     fn from(e: TableError) -> Self {
         AlgoError::Table(e)
+    }
+}
+
+impl From<RelError> for AlgoError {
+    fn from(e: RelError) -> Self {
+        AlgoError::Rel(e)
     }
 }
 

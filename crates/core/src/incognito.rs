@@ -38,7 +38,23 @@ use crate::{AlgoError, AnonymizationResult, Config, Generalization, IterationSta
 /// assert!(!result.contains(&[0, 0]));
 /// ```
 pub fn incognito(table: &Table, qi: &[usize], cfg: &Config) -> Result<AnonymizationResult, AlgoError> {
-    incognito_impl(table, qi, cfg, &mut |_| {}, AltSource::None)
+    incognito_impl(&FreqProvider::new(table, cfg), qi, cfg, &mut |_| {}, AltSource::None)
+}
+
+/// Basic (or Super-roots) Incognito with the paper's relational substrate:
+/// every frequency set is a `COUNT(*) … GROUP BY` query over the Figure 4
+/// star schema and every rollup a `SUM(count)` query through a dimension
+/// relation ([`FreqProvider::relational`]). The search itself is the same
+/// engine as [`incognito`], so the result set and every counter match it.
+/// The star schema is held in memory and its sets never spill.
+pub fn incognito_sql(
+    table: &Table,
+    qi: &[usize],
+    cfg: &Config,
+) -> Result<AnonymizationResult, AlgoError> {
+    let qi = validate_qi(table.schema(), qi, cfg.k)?;
+    let provider = FreqProvider::relational(table, &qi, cfg)?;
+    incognito_impl(&provider, &qi, cfg, &mut |_| {}, AltSource::None)
 }
 
 /// Like [`incognito`], but also returns the full [`TraceEvent`] log.
@@ -48,7 +64,8 @@ pub fn incognito_traced(
     cfg: &Config,
 ) -> Result<(AnonymizationResult, Vec<TraceEvent>), AlgoError> {
     let mut events = Vec::new();
-    let result = incognito_impl(table, qi, cfg, &mut |e| events.push(e), AltSource::None)?;
+    let provider = FreqProvider::new(table, cfg);
+    let result = incognito_impl(&provider, qi, cfg, &mut |e| events.push(e), AltSource::None)?;
     Ok((result, events))
 }
 
@@ -256,16 +273,19 @@ impl CacheGauges {
     }
 }
 
-/// Shared engine behind Basic, Super-roots, Cube, and store-backed
-/// Incognito.
+/// Shared engine behind Basic, Super-roots, Cube, store-backed, and
+/// SQL-path Incognito. Every frequency set comes through `provider`, which
+/// fixes the substrate (columnar table or star schema) and, for the
+/// columnar one, spills to disk while the process is over the memory
+/// budget.
 pub(crate) fn incognito_impl(
-    table: &Table,
+    provider: &FreqProvider<'_>,
     qi: &[usize],
     cfg: &Config,
     sink: &mut dyn FnMut(TraceEvent),
     mut alt: AltSource<'_, '_>,
 ) -> Result<AnonymizationResult, AlgoError> {
-    let schema = table.schema().clone();
+    let schema = provider.table().schema().clone();
     let qi = validate_qi(&schema, qi, cfg.k)?;
     let n = qi.len();
     // Position of each schema attribute within the sorted QI (for cube masks).
@@ -274,6 +294,7 @@ pub(crate) fn incognito_impl(
 
     let search_start = Instant::now();
     let algo = match (&alt, cfg.superroots) {
+        _ if provider.is_relational() => "sql",
         (AltSource::None, false) => "basic",
         (AltSource::None, true) => "superroots",
         (AltSource::Cube(_), _) => "cube",
@@ -286,9 +307,6 @@ pub(crate) fn incognito_impl(
     let mut stats = SearchStats::default();
     let mut graph = CandidateGraph::initial(&schema, &qi);
     let mut final_alive: Vec<bool> = Vec::new();
-    // Every frequency set the search touches comes through the provider,
-    // which spills to disk while the process is over the memory budget.
-    let provider = FreqProvider::new(table, cfg);
 
     // Shared work-stealing pool for wave-parallel node checks and family
     // scans. `None` (threads == 1) keeps the engine on the strictly serial
@@ -508,7 +526,7 @@ pub(crate) fn incognito_impl(
                 match &pool {
                     Some(pool) if pending.len() > 1 => {
                         let outs = pool.parallel_map(&pending, |_, &i| {
-                            eval_plan(&provider, &schema, cfg, &graph, wave[i], &plans[i], scan_threads)
+                            eval_plan(provider, &schema, cfg, &graph, wave[i], &plans[i], scan_threads)
                         });
                         for (&i, out) in pending.iter().zip(outs) {
                             results[i] = Some(out);
@@ -517,7 +535,7 @@ pub(crate) fn incognito_impl(
                     _ => {
                         for &i in &pending {
                             results[i] = Some(eval_plan(
-                                &provider,
+                                provider,
                                 &schema,
                                 cfg,
                                 &graph,

@@ -19,7 +19,10 @@
 //! * [`binary_search::samarati_binary_search`] — Samarati's binary search
 //!   on generalization height (§2.2);
 //! * [`datafly::datafly`] — Sweeney's greedy Datafly heuristic (§6), for
-//!   comparison: k-anonymous output but no minimality guarantee.
+//!   comparison: k-anonymous output but no minimality guarantee;
+//! * [`incognito_sql`] — Basic Incognito on the paper's own substrate:
+//!   frequency sets as SQL queries over the Figure 4 star schema
+//!   ([`FreqProvider::relational`]), under the same search engine.
 //!
 //! All algorithms share [`Config`] (k, the §2.1 tuple-suppression
 //! threshold, and search options), produce an [`AnonymizationResult`]
@@ -50,7 +53,7 @@ pub mod verify;
 
 pub use error::AlgoError;
 pub use explain::{render_dot, ExplainPlan};
-pub use incognito::incognito;
+pub use incognito::{incognito, incognito_sql};
 pub use provider::{FreqHandle, FreqProvider};
 pub use result::{AnonymizationResult, Generalization};
 pub use stats::{IterationStats, PhaseTimings, SearchStats};

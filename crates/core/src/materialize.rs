@@ -264,7 +264,7 @@ pub fn incognito_with_store(
     store: &mut FreqStore<'_>,
 ) -> Result<crate::AnonymizationResult, crate::AlgoError> {
     crate::incognito::incognito_impl(
-        table,
+        &crate::FreqProvider::new(table, cfg),
         qi,
         cfg,
         &mut |_| {},

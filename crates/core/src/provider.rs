@@ -24,11 +24,19 @@
 //! `INCOGNITO_SPILL_DIR`), falling back to the OS temp directory — which
 //! on Linux is frequently a RAM-backed tmpfs, where spilling still
 //! consumes physical memory; redirect it when the budget matters.
+//!
+//! A provider built with [`FreqProvider::relational`] answers from the
+//! paper's own substrate instead: the Figure 4 star schema, with scans as
+//! `COUNT(*) … GROUP BY` queries and rollups as `SUM(count)` queries
+//! through a dimension relation ([`incognito_rel::freq`]). Relational
+//! sets stay in memory regardless of the budget.
 
 use std::path::PathBuf;
 
 use incognito_hierarchy::LevelNo;
-use incognito_table::{ExternalFrequencySet, FrequencySet, GroupSpec, Schema, Table};
+use incognito_rel::freq::{frequency_set_sql, rollup_sql, tuples_below_sql};
+use incognito_rel::{Relation, StarSchema};
+use incognito_table::{ExternalFrequencySet, FrequencySet, GroupSpec, Schema, Table, TableError};
 
 use crate::{AlgoError, Config};
 
@@ -37,18 +45,27 @@ use crate::{AlgoError, Config};
 /// per-partition write buffers stay useful.
 const SPILL_PARTITIONS: usize = 64;
 
-/// A frequency set in whichever representation the memory budget allowed:
-/// fully in memory, or spilled to hash partitions on disk.
+/// A frequency set in whichever representation its provider produced:
+/// fully in memory, spilled to hash partitions on disk (over the memory
+/// budget), or a relation over the star schema (the SQL path).
 ///
-/// All predicates answer identically in both representations (the spilled
+/// All predicates answer identically in every representation (the spilled
 /// form streams one partition at a time); the `Result` on the accessors
-/// carries the spill path's IO errors, which the in-memory form can never
-/// produce.
+/// carries the spill path's IO errors and the relational engine's errors,
+/// which the in-memory form can never produce.
 pub enum FreqHandle {
     /// The ordinary in-memory frequency set.
     Mem(FrequencySet),
     /// A disk-backed frequency set (over budget at creation time).
     Ext(ExternalFrequencySet),
+    /// A `GROUP BY` result over the star schema: one label column per
+    /// spec part plus an Int `count` column.
+    Rel {
+        /// The frequency relation.
+        rel: Relation,
+        /// The grouping spec its label columns follow.
+        spec: GroupSpec,
+    },
 }
 
 impl FreqHandle {
@@ -57,14 +74,7 @@ impl FreqHandle {
         match self {
             FreqHandle::Mem(f) => f.spec(),
             FreqHandle::Ext(e) => e.spec(),
-        }
-    }
-
-    /// Total tuples counted.
-    pub fn total(&self) -> u64 {
-        match self {
-            FreqHandle::Mem(f) => f.total(),
-            FreqHandle::Ext(e) => e.total(),
+            FreqHandle::Rel { spec, .. } => spec,
         }
     }
 
@@ -73,6 +83,7 @@ impl FreqHandle {
         match self {
             FreqHandle::Mem(f) => Ok(f.num_groups()),
             FreqHandle::Ext(e) => Ok(e.num_groups()?),
+            FreqHandle::Rel { rel, .. } => Ok(rel.len()),
         }
     }
 
@@ -81,6 +92,7 @@ impl FreqHandle {
         match self {
             FreqHandle::Mem(f) => Ok(f.is_k_anonymous(k)),
             FreqHandle::Ext(e) => Ok(e.is_k_anonymous(k)?),
+            FreqHandle::Rel { rel, .. } => Ok(tuples_below_sql(rel, k)? == 0),
         }
     }
 
@@ -93,6 +105,7 @@ impl FreqHandle {
         match self {
             FreqHandle::Mem(f) => Ok(f.is_k_anonymous_with_suppression(k, max_suppress)),
             FreqHandle::Ext(e) => Ok(e.is_k_anonymous_with_suppression(k, max_suppress)?),
+            FreqHandle::Rel { rel, .. } => Ok(tuples_below_sql(rel, k)? <= max_suppress),
         }
     }
 
@@ -101,6 +114,7 @@ impl FreqHandle {
         match self {
             FreqHandle::Mem(f) => Ok(f.tuples_below(k)),
             FreqHandle::Ext(e) => Ok(e.tuples_below(k)?),
+            FreqHandle::Rel { rel, .. } => Ok(tuples_below_sql(rel, k)?),
         }
     }
 
@@ -111,6 +125,7 @@ impl FreqHandle {
         match self {
             FreqHandle::Mem(f) => f.resident_bytes(),
             FreqHandle::Ext(_) => 0,
+            FreqHandle::Rel { rel, .. } => rel.heap_bytes(),
         }
     }
 
@@ -123,21 +138,24 @@ impl FreqHandle {
     pub fn as_mem(&self) -> Option<&FrequencySet> {
         match self {
             FreqHandle::Mem(f) => Some(f),
-            FreqHandle::Ext(_) => None,
+            FreqHandle::Ext(_) | FreqHandle::Rel { .. } => None,
         }
     }
 }
 
 /// The provider every engine routes frequency-set construction through.
 ///
-/// Holds the base table, the memory budget, and the spill location; it is
-/// `Sync`, so wave-parallel engines can call it from pool workers (each
-/// call builds an independent set — the provider itself carries no
-/// mutable state).
+/// Holds the base table, the memory budget, the spill location, and for
+/// the SQL path the star schema; it is `Sync`, so wave-parallel engines
+/// can call it from pool workers (each call builds an independent set —
+/// the provider itself carries no mutable state).
 pub struct FreqProvider<'t> {
     table: &'t Table,
     budget: Option<u64>,
     spill_root: PathBuf,
+    /// The star schema the SQL path queries; `None` for the columnar
+    /// substrate.
+    star: Option<StarSchema>,
 }
 
 impl<'t> FreqProvider<'t> {
@@ -152,7 +170,27 @@ impl<'t> FreqProvider<'t> {
             table,
             budget: cfg.memory_budget,
             spill_root: cfg.spill_dir.clone().unwrap_or_else(std::env::temp_dir),
+            star: None,
         }
+    }
+
+    /// A provider that answers every request with SQL over the Figure 4
+    /// star schema of `table` restricted to `qi`, which it materializes
+    /// here. Its sets never spill.
+    pub fn relational(table: &'t Table, qi: &[usize], cfg: &Config) -> Result<Self, AlgoError> {
+        let star = StarSchema::build(table, qi)?;
+        Ok(FreqProvider { star: Some(star), ..Self::new(table, cfg) })
+    }
+
+    /// True when this provider runs SQL over a star schema.
+    pub fn is_relational(&self) -> bool {
+        self.star.is_some()
+    }
+
+    /// The star schema behind a relational handle. Relational handles
+    /// only come from a relational provider.
+    fn star(&self) -> &StarSchema {
+        self.star.as_ref().expect("relational handles come from a relational provider")
     }
 
     /// The base table this provider scans.
@@ -161,7 +199,7 @@ impl<'t> FreqProvider<'t> {
     }
 
     /// True while the process's live bytes exceed the budget — the next
-    /// set built through this provider will spill.
+    /// columnar set built through this provider will spill.
     pub fn over_budget(&self) -> bool {
         self.budget
             .is_some_and(|b| incognito_obs::mem::live_bytes() > b)
@@ -169,9 +207,13 @@ impl<'t> FreqProvider<'t> {
 
     /// Scan the base table for `spec`'s frequency set, spilling when over
     /// budget. `threads > 1` engages the row-split parallel scan (only
-    /// meaningful for the in-memory representation).
+    /// meaningful for the in-memory representation). A relational provider
+    /// runs the `COUNT(*) … GROUP BY` query over its fact relation instead.
     pub fn scan(&self, spec: &GroupSpec, threads: usize) -> Result<FreqHandle, AlgoError> {
-        if self.over_budget() {
+        if let Some(star) = &self.star {
+            let rel = frequency_set_sql(star, spec.parts())?;
+            Ok(FreqHandle::Rel { rel, spec: spec.clone() })
+        } else if self.over_budget() {
             let ext =
                 ExternalFrequencySet::build(self.table, spec, SPILL_PARTITIONS, &self.spill_root)?;
             Ok(FreqHandle::Ext(ext))
@@ -185,7 +227,9 @@ impl<'t> FreqProvider<'t> {
     /// The Rollup Property through the budget: an in-memory parent rolls
     /// up in memory; a spilled parent rolls up partition-by-partition on
     /// disk, then upgrades to the in-memory form if the budget has
-    /// headroom for the child's estimated materialized size.
+    /// headroom for the child's estimated materialized size. A relational
+    /// parent rolls up with a `SUM(count)` query through the changed
+    /// attributes' dimension relations.
     pub fn rollup(
         &self,
         parent: &FreqHandle,
@@ -198,17 +242,33 @@ impl<'t> FreqProvider<'t> {
                 let child = e.rollup(schema, target, &self.spill_root)?;
                 self.maybe_upgrade(child)
             }
+            FreqHandle::Rel { rel, spec } => {
+                if target.len() != spec.len() {
+                    let (want, got) = (spec.len(), target.len());
+                    let msg = format!("rollup target has {got} levels for {want} parts");
+                    return Err(TableError::IncompatibleSpec(msg).into());
+                }
+                let rel = rollup_sql(self.star(), rel, spec.parts(), target)?;
+                let parts = spec.parts().iter().zip(target).map(|(&(a, _), &l)| (a, l)).collect();
+                Ok(FreqHandle::Rel { rel, spec: GroupSpec::new(parts)? })
+            }
         }
     }
 
     /// The Subset Property through the budget (Cube Incognito's
     /// projections), same upgrade policy as [`FreqProvider::rollup`].
+    /// Cube Incognito never runs on the star schema, so relational sets
+    /// have no projection.
     pub fn project(&self, parent: &FreqHandle, keep: &[usize]) -> Result<FreqHandle, AlgoError> {
         match parent {
             FreqHandle::Mem(f) => Ok(FreqHandle::Mem(f.project(keep)?)),
             FreqHandle::Ext(e) => {
                 let child = e.project(keep, &self.spill_root)?;
                 self.maybe_upgrade(child)
+            }
+            FreqHandle::Rel { .. } => {
+                let msg = "the SQL path does not project frequency relations".to_string();
+                Err(TableError::IncompatibleSpec(msg).into())
             }
         }
     }
@@ -244,7 +304,7 @@ mod tests {
     fn handle_rows(h: &FreqHandle, schema: &std::sync::Arc<Schema>) -> Vec<(Vec<String>, u64)> {
         match h {
             FreqHandle::Mem(f) => f.to_labeled_rows(schema),
-            FreqHandle::Ext(_) => panic!("expected in-memory handle"),
+            _ => panic!("expected in-memory handle"),
         }
     }
 
@@ -269,7 +329,7 @@ mod tests {
         let h = p.scan(&spec, 1).unwrap();
         assert!(h.is_spilled());
         let mem = t.frequency_set(&spec).unwrap();
-        assert_eq!(h.total(), mem.total());
+        assert_eq!(h.tuples_below(u64::MAX).unwrap(), mem.total());
         assert_eq!(h.num_groups().unwrap(), mem.num_groups());
         for k in [1, 2, 3, 10] {
             assert_eq!(h.is_k_anonymous(k).unwrap(), mem.is_k_anonymous(k));
@@ -288,6 +348,35 @@ mod tests {
         let mem_rolled = mem.rollup(schema, &target).unwrap();
         assert_eq!(rolled.num_groups().unwrap(), mem_rolled.num_groups());
         assert_eq!(rolled.tuples_below(5).unwrap(), mem_rolled.tuples_below(5));
+    }
+
+    #[test]
+    fn relational_provider_answers_like_the_columnar_one() {
+        let t = patients();
+        // A zero budget would spill a columnar set; relational sets never do.
+        let cfg = Config::new(2).with_memory_budget(0);
+        let p = FreqProvider::relational(&t, &[0, 1, 2], &cfg).unwrap();
+        assert!(p.is_relational());
+        let spec = GroupSpec::ground(&[0, 1, 2]).unwrap();
+        let scanned = p.scan(&spec, 2).unwrap();
+        let rolled = p.rollup(&scanned, t.schema(), &[1, 1, 1]).unwrap();
+        let mem = t.frequency_set(&spec).unwrap();
+        let mem_rolled = mem.rollup(t.schema(), &[1, 1, 1]).unwrap();
+        for (h, m) in [(&scanned, &mem), (&rolled, &mem_rolled)] {
+            assert!(matches!(h, FreqHandle::Rel { .. }) && !h.is_spilled());
+            assert_eq!(h.spec(), m.spec());
+            assert_eq!(h.num_groups().unwrap(), m.num_groups());
+            for k in [1, 2, 3, 10] {
+                assert_eq!(h.is_k_anonymous(k).unwrap(), m.is_k_anonymous(k));
+                assert_eq!(h.tuples_below(k).unwrap(), m.tuples_below(k));
+                assert_eq!(
+                    h.is_k_anonymous_with_suppression(k, 2).unwrap(),
+                    m.is_k_anonymous_with_suppression(k, 2)
+                );
+            }
+        }
+        assert!(p.rollup(&scanned, t.schema(), &[1, 1]).is_err());
+        assert!(p.project(&scanned, &[0]).is_err());
     }
 
     #[test]

@@ -21,13 +21,6 @@ pub enum RelError {
         /// Offending column name.
         column: String,
     },
-    /// `except`/`union` over relations with different schemas.
-    SchemaMismatch {
-        /// Left schema.
-        left: Vec<String>,
-        /// Right schema.
-        right: Vec<String>,
-    },
 }
 
 impl fmt::Display for RelError {
@@ -40,9 +33,6 @@ impl fmt::Display for RelError {
             }
             RelError::TypeMismatch { op, column } => {
                 write!(f, "type mismatch in {op} on column {column:?}")
-            }
-            RelError::SchemaMismatch { left, right } => {
-                write!(f, "schema mismatch: {left:?} vs {right:?}")
             }
         }
     }

@@ -1,5 +1,5 @@
-//! Relational operators: projection, selection, hash join, and hash
-//! aggregation — the pieces needed to express every query in §3 of the
+//! Relational operators: projection, hash join, and hash aggregation —
+//! the pieces needed to express the frequency-set queries of §3 of the
 //! paper.
 
 use incognito_table::fxhash::FxHashMap;
@@ -51,25 +51,6 @@ impl Relation {
         Relation::new(out)
     }
 
-    /// `WHERE <predicate>` with an arbitrary row predicate (used for the
-    /// inequality conjuncts like `p.dim1 < q.dim1` that hash joins cannot
-    /// express).
-    pub fn filter(&self, pred: impl Fn(&Relation, usize) -> bool) -> Relation {
-        let mut out = self.empty_like();
-        for row in 0..self.len() {
-            if pred(self, row) {
-                out.push_row_from(self, row);
-            }
-        }
-        out
-    }
-
-    /// `WHERE <column> = <value>`.
-    pub fn filter_eq(&self, column: &str, value: &Value) -> Result<Relation, RelError> {
-        let idx = self.column_index(column)?;
-        Ok(self.filter(|r, row| r.column_at(idx).value(row) == *value))
-    }
-
     /// Inner hash equi-join. Output columns: all of `self` (names kept),
     /// then all of `other` prefixed with `prefix` (SQL's `q.` alias) to
     /// avoid collisions.
@@ -98,10 +79,10 @@ impl Relation {
         // Output schema.
         let mut cols: Vec<(String, ColumnData)> = Vec::new();
         for (name, col) in self.names().iter().zip((0..self.arity()).map(|i| self.column_at(i))) {
-            cols.push((name.clone(), empty_like(col)));
+            cols.push((name.clone(), col.empty_like()));
         }
         for (name, col) in other.names().iter().zip((0..other.arity()).map(|i| other.column_at(i))) {
-            cols.push((format!("{prefix}{name}"), empty_like(col)));
+            cols.push((format!("{prefix}{name}"), col.empty_like()));
         }
 
         for lrow in 0..self.len() {
@@ -109,17 +90,15 @@ impl Relation {
             if let Some(matches) = index.get(&key) {
                 for &rrow in matches {
                     for (i, (_, col)) in cols.iter_mut().enumerate().take(self.arity()) {
-                        push_from(col, self.column_at(i), lrow);
+                        col.push_from(self.column_at(i), lrow);
                     }
                     for (j, (_, col)) in cols.iter_mut().enumerate().skip(self.arity()) {
-                        push_from(col, other.column_at(j - self.arity()), rrow);
+                        col.push_from(other.column_at(j - self.arity()), rrow);
                     }
                 }
             }
         }
-        let refs: Vec<(&str, ColumnData)> =
-            cols.into_iter().map(|(n, c)| (leak_name(n), c)).collect();
-        Relation::new(refs)
+        Relation::new(cols)
     }
 
     /// `SELECT keys..., aggs... FROM self GROUP BY keys...`.
@@ -166,7 +145,7 @@ impl Relation {
         // Assemble output columns: group keys then aggregates.
         let mut cols: Vec<(String, ColumnData)> = Vec::new();
         for (&ki, &kname) in key_idx.iter().zip(keys) {
-            cols.push((kname.to_string(), empty_like(self.column_at(ki))));
+            cols.push((kname.to_string(), self.column_at(ki).empty_like()));
         }
         for a in aggs {
             let alias = match a {
@@ -177,7 +156,7 @@ impl Relation {
         for key in &order {
             let (rep, accs) = &groups[key];
             for (i, (_, col)) in cols.iter_mut().enumerate().take(key_idx.len()) {
-                push_from(col, self.column_at(key_idx[i]), *rep);
+                col.push_from(self.column_at(key_idx[i]), *rep);
             }
             for (j, (_, col)) in cols.iter_mut().enumerate().skip(key_idx.len()) {
                 match col {
@@ -186,31 +165,8 @@ impl Relation {
                 }
             }
         }
-        let refs: Vec<(&str, ColumnData)> =
-            cols.into_iter().map(|(n, c)| (leak_name(n), c)).collect();
-        Relation::new(refs)
+        Relation::new(cols)
     }
-}
-
-fn empty_like(c: &ColumnData) -> ColumnData {
-    match c {
-        ColumnData::Int(_) => ColumnData::Int(Vec::new()),
-        ColumnData::Text(_) => ColumnData::Text(Vec::new()),
-    }
-}
-
-fn push_from(dst: &mut ColumnData, src: &ColumnData, row: usize) {
-    match (dst, src) {
-        (ColumnData::Int(d), ColumnData::Int(s)) => d.push(s[row]),
-        (ColumnData::Text(d), ColumnData::Text(s)) => d.push(s[row].clone()),
-        _ => unreachable!("columns are created type-consistent"),
-    }
-}
-
-// `Relation::new` borrows names; keep construction simple by leaking the
-// handful of short-lived output names. Bounded by query text, not data.
-fn leak_name(n: String) -> &'static str {
-    Box::leak(n.into_boxed_str())
 }
 
 #[cfg(test)]
@@ -240,18 +196,6 @@ mod tests {
         assert_eq!(p.names(), ["zipcode"]);
         assert_eq!(p.len(), 6);
         assert!(r.project(&[("nope", "x")]).is_err());
-    }
-
-    #[test]
-    fn filter_variants() {
-        let r = patients_sz();
-        let m = r.filter_eq("sex", &Value::Text("M".into())).unwrap();
-        assert_eq!(m.len(), 3);
-        let idx = r.column_index("zip").unwrap();
-        let z = r.filter(|rel, row| {
-            matches!(rel.column_at(idx).value(row), Value::Text(t) if t.starts_with("5370"))
-        });
-        assert_eq!(z.len(), 4);
     }
 
     #[test]

@@ -53,14 +53,14 @@ impl ColumnData {
         }
     }
 
-    fn empty_like(&self) -> ColumnData {
+    pub(crate) fn empty_like(&self) -> ColumnData {
         match self {
             ColumnData::Int(_) => ColumnData::Int(Vec::new()),
             ColumnData::Text(_) => ColumnData::Text(Vec::new()),
         }
     }
 
-    fn push_from(&mut self, src: &ColumnData, row: usize) {
+    pub(crate) fn push_from(&mut self, src: &ColumnData, row: usize) {
         match (self, src) {
             (ColumnData::Int(dst), ColumnData::Int(s)) => dst.push(s[row]),
             (ColumnData::Text(dst), ColumnData::Text(s)) => dst.push(s[row].clone()),
@@ -79,13 +79,14 @@ pub struct Relation {
 impl Relation {
     /// Build a relation from `(name, column)` pairs. Names must be unique
     /// and columns equally long.
-    pub fn new(columns: Vec<(&str, ColumnData)>) -> Result<Relation, RelError> {
-        let mut names = Vec::with_capacity(columns.len());
+    pub fn new<N: Into<String>>(columns: Vec<(N, ColumnData)>) -> Result<Relation, RelError> {
+        let mut names: Vec<String> = Vec::with_capacity(columns.len());
         let mut data = Vec::with_capacity(columns.len());
         let mut len: Option<usize> = None;
         for (name, col) in columns {
-            if names.iter().any(|n| n == name) {
-                return Err(RelError::DuplicateColumn(name.to_string()));
+            let name = name.into();
+            if names.contains(&name) {
+                return Err(RelError::DuplicateColumn(name));
             }
             match len {
                 None => len = Some(col.len()),
@@ -94,7 +95,7 @@ impl Relation {
                 }
                 _ => {}
             }
-            names.push(name.to_string());
+            names.push(name);
             data.push(col);
         }
         Ok(Relation { names, columns: data })
@@ -128,6 +129,23 @@ impl Relation {
         self.len() == 0
     }
 
+    /// Approximate heap bytes held by the column data (text cells count
+    /// their `String` header plus capacity).
+    pub fn heap_bytes(&self) -> u64 {
+        let cells: usize = self
+            .columns
+            .iter()
+            .map(|c| match c {
+                ColumnData::Int(v) => v.capacity() * std::mem::size_of::<i64>(),
+                ColumnData::Text(v) => v
+                    .iter()
+                    .map(|t| std::mem::size_of::<String>() + t.capacity())
+                    .sum(),
+            })
+            .sum();
+        cells as u64
+    }
+
     /// Index of column `name`.
     pub fn column_index(&self, name: &str) -> Result<usize, RelError> {
         self.names
@@ -156,39 +174,6 @@ impl Relation {
         self.columns.iter().map(|c| c.value(row)).collect()
     }
 
-    /// Append `other`'s rows (SQL `UNION ALL`). Schemas must match by name
-    /// and type.
-    pub fn union_all(&self, other: &Relation) -> Result<Relation, RelError> {
-        self.check_same_schema(other)?;
-        let mut out = self.clone();
-        for (dst, src) in out.columns.iter_mut().zip(&other.columns) {
-            for row in 0..src.len() {
-                dst.push_from(src, row);
-            }
-        }
-        Ok(out)
-    }
-
-    /// SQL `EXCEPT` (set semantics): rows of `self` not present in
-    /// `other`, deduplicated.
-    pub fn except(&self, other: &Relation) -> Result<Relation, RelError> {
-        self.check_same_schema(other)?;
-        let mut exclude: FxHashMap<Vec<Value>, ()> = FxHashMap::default();
-        for row in 0..other.len() {
-            exclude.insert(other.row(row), ());
-        }
-        let mut seen: FxHashMap<Vec<Value>, ()> = FxHashMap::default();
-        let mut out = self.empty_like();
-        for row in 0..self.len() {
-            let key = self.row(row);
-            if exclude.contains_key(&key) || seen.insert(key, ()).is_some() {
-                continue;
-            }
-            out.push_row_from(self, row);
-        }
-        Ok(out)
-    }
-
     /// Deduplicate rows (SQL `SELECT DISTINCT *`).
     pub fn distinct(&self) -> Relation {
         let mut seen: FxHashMap<Vec<Value>, ()> = FxHashMap::default();
@@ -213,27 +198,10 @@ impl Relation {
         out
     }
 
-    pub(crate) fn push_row_from(&mut self, src: &Relation, row: usize) {
+    fn push_row_from(&mut self, src: &Relation, row: usize) {
         for (dst, s) in self.columns.iter_mut().zip(&src.columns) {
             dst.push_from(s, row);
         }
-    }
-
-    pub(crate) fn check_same_schema(&self, other: &Relation) -> Result<(), RelError> {
-        let type_of = |c: &ColumnData| matches!(c, ColumnData::Int(_));
-        if self.names != other.names
-            || self
-                .columns
-                .iter()
-                .zip(&other.columns)
-                .any(|(a, b)| type_of(a) != type_of(b))
-        {
-            return Err(RelError::SchemaMismatch {
-                left: self.names.clone(),
-                right: other.names.clone(),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -252,11 +220,11 @@ impl fmt::Display for Relation {
 mod tests {
     use super::*;
 
-    pub(crate) fn ints(v: &[i64]) -> ColumnData {
+    fn ints(v: &[i64]) -> ColumnData {
         ColumnData::Int(v.to_vec())
     }
 
-    pub(crate) fn texts(v: &[&str]) -> ColumnData {
+    fn texts(v: &[&str]) -> ColumnData {
         ColumnData::Text(v.iter().map(|s| s.to_string()).collect())
     }
 
@@ -272,26 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn union_all_keeps_duplicates() {
-        let a = Relation::new(vec![("x", ints(&[1, 2]))]).unwrap();
-        let b = Relation::new(vec![("x", ints(&[2, 3]))]).unwrap();
-        let u = a.union_all(&b).unwrap();
-        assert_eq!(u.len(), 4);
-        let bad = Relation::new(vec![("y", ints(&[1]))]).unwrap();
-        assert!(a.union_all(&bad).is_err());
-    }
-
-    #[test]
-    fn except_is_set_difference() {
-        let a = Relation::new(vec![("x", ints(&[1, 1, 2, 3]))]).unwrap();
-        let b = Relation::new(vec![("x", ints(&[2]))]).unwrap();
-        let d = a.except(&b).unwrap().sorted();
-        assert_eq!(d.len(), 2); // {1, 3} — deduplicated, 2 removed
-        assert_eq!(d.value(0, "x").unwrap(), Value::Int(1));
-        assert_eq!(d.value(1, "x").unwrap(), Value::Int(3));
-    }
-
-    #[test]
     fn distinct_and_sorted() {
         let r = Relation::new(vec![("x", ints(&[3, 1, 3, 2]))]).unwrap();
         let d = r.distinct();
@@ -303,11 +251,4 @@ mod tests {
         );
     }
 
-    #[test]
-    fn schema_mismatch_detects_types() {
-        let a = Relation::new(vec![("x", ints(&[1]))]).unwrap();
-        let b = Relation::new(vec![("x", texts(&["1"]))]).unwrap();
-        assert!(a.union_all(&b).is_err());
-        assert!(a.except(&b).is_err());
-    }
 }

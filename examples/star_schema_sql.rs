@@ -1,15 +1,15 @@
 //! The paper's implementation strategy, visible: build the Figure 4 star
 //! schema over the Patients table, run the §1.1 `GROUP BY COUNT(*)` check
-//! and a §3 `SUM(count)` rollup as actual relational queries, then execute
-//! the whole Incognito search through the SQL path and confirm it matches
-//! the native engine.
+//! and a §3 `SUM(count)` rollup as actual relational queries, then run the
+//! Incognito search with those queries as its frequency-set substrate and
+//! confirm it matches the native columnar substrate.
 //!
 //! Run with: `cargo run --release --example star_schema_sql`
 
-use incognito::algo::{incognito as run_incognito, Config};
+use incognito::algo::{incognito as run_incognito, incognito_sql, Config};
 use incognito::data::patients;
-use incognito::star::freq::{frequency_set_sql, is_k_anonymous_sql, rollup_sql};
-use incognito::star::{incognito_sql, StarSchema};
+use incognito::rel::freq::{frequency_set_sql, is_k_anonymous_sql, rollup_sql};
+use incognito::rel::StarSchema;
 
 fn main() {
     let table = patients();
@@ -38,22 +38,21 @@ fn main() {
     let rolled = rollup_sql(&star, &f, &[(1, 0), (2, 0)], &[0, 1]).expect("valid rollup");
     print!("{}", rolled.sorted());
 
-    // The full search through the SQL path.
+    // The full search, with every frequency set answered by SQL.
     println!("\nRunning Incognito through the relational engine (k = 2)...");
     let sql = incognito_sql(&table, &qi, &Config::new(2)).expect("valid workload");
+    let stats = sql.stats();
     println!(
         "  {} generalizations, {} nodes checked ({} scan queries, {} rollup queries)",
-        sql.generalizations.len(),
-        sql.nodes_checked,
-        sql.scan_queries,
-        sql.rollup_queries
+        sql.len(),
+        stats.nodes_checked(),
+        stats.freq_from_scan,
+        stats.freq_from_rollup
     );
     let native = run_incognito(&table, &qi, &Config::new(2)).expect("valid workload");
-    let native_levels: Vec<Vec<u8>> =
-        native.generalizations().iter().map(|g| g.levels.clone()).collect();
-    assert_eq!(sql.generalizations, native_levels);
+    assert_eq!(sql.generalizations(), native.generalizations());
     println!("  SQL path and native columnar engine agree on all {} results.", native.len());
-    for levels in &sql.generalizations {
-        println!("    ⟨B{}, S{}, Z{}⟩", levels[0], levels[1], levels[2]);
+    for g in sql.generalizations() {
+        println!("    ⟨B{}, S{}, Z{}⟩", g.levels[0], g.levels[1], g.levels[2]);
     }
 }

@@ -106,7 +106,10 @@ fn parse_qi(args: &Args, table: &Table) -> Result<Vec<usize>, String> {
 }
 
 fn parse_k(args: &Args) -> Result<u64, String> {
-    args.require("k")?.parse().map_err(|_| "--k must be a positive integer".to_string())
+    match args.require("k")?.parse() {
+        Ok(k) if k >= 1 => Ok(k),
+        _ => Err("--k must be a positive integer".to_string()),
+    }
 }
 
 fn describe(args: &Args) -> Result<(), String> {

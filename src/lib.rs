@@ -9,8 +9,8 @@
 //! * [`algo`] — the Incognito algorithm suite and baselines;
 //! * [`models`] — the Section 5 taxonomy of recoding models;
 //! * [`data`] — dataset generators (Patients, Adults, Lands End) and CSV IO;
-//! * [`rel`] — the mini relational engine (the paper ran on SQL/DB2);
-//! * [`star`] — the star schema (Figure 4) and the SQL-path Incognito;
+//! * [`rel`] — the mini relational engine and the Figure 4 star schema
+//!   (the paper ran on SQL/DB2); `algo::incognito_sql` searches over it;
 //! * [`exec`] — the work-stealing executor behind `Config::with_threads`;
 //! * [`obs`] — observability: metrics, spans, run reports, seeded PRNG;
 //! * [`report`] — `BENCH_*.json` diffing, the perf-regression gate, and
@@ -28,5 +28,4 @@ pub use incognito_lattice as lattice;
 pub use incognito_models as models;
 pub use incognito_obs as obs;
 pub use incognito_rel as rel;
-pub use incognito_star as star;
 pub use incognito_table as table;

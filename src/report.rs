@@ -464,8 +464,9 @@ fn fmt_ns(ns: u64) -> String {
 
 /// Fold a span tree back into a per-iteration search-plan table (the
 /// explain plan the `--trace` flag captured) followed by a self-time
-/// profile. Understands both the in-memory engine's span names
-/// (`iteration`/`check`) and the SQL path's (`sql.iteration`/`sql.check`).
+/// profile. Every engine, the SQL path included, emits the shared
+/// `search`/`iteration`/`check` spans; the `search` span's `algo` arg
+/// labels each section.
 pub fn explain_trace(records: &[TraceRecord]) -> String {
     let forest = build_tree(records);
     let mut out = String::new();
@@ -491,12 +492,12 @@ pub fn explain_trace(records: &[TraceRecord]) -> String {
                 String::new(),
             ]);
         }
-        if r.name == "iteration" || r.name == "sql.iteration" {
+        if r.name == "iteration" {
             let mut by_source = [0i64; 4]; // scan, rollup, superroot, cube
             let mut anonymous = 0i64;
             for child in &node.children {
                 let c = &records[child.index];
-                if c.name != "check" && c.name != "sql.check" {
+                if c.name != "check" {
                     continue;
                 }
                 match arg_str(c, "via") {

@@ -1,6 +1,7 @@
 //! The ISSUE 2 acceptance criterion for the trace tree: running Basic
 //! Incognito with tracing enabled must produce a Chrome-trace span
-//! forest nesting search → iteration → node-check → table scan/rollup.
+//! forest nesting search → iteration → node-check → table scan/rollup,
+//! and the SQL path must emit the same chain over its relational queries.
 //!
 //! Trace collection is process-global, so this file holds exactly one
 //! test function.
@@ -81,4 +82,24 @@ fn incognito_run_emits_nested_iteration_check_scan_spans() {
     assert!(plan.contains("basic"), "{plan}");
     assert!(plan.lines().filter(|l| l.trim_start().starts_with(char::is_numeric)).count() >= 3);
     assert!(plan.contains("span profile"), "{plan}");
+
+    // The SQL path runs the same engine: the shared search → iteration →
+    // check chain, its queries nested under checks, and a search span
+    // labelled `sql` so explain output names the substrate.
+    trace::clear();
+    trace::set_enabled(true);
+    incognito::algo::incognito_sql(&table, &[0, 1, 2], &Config::new(2)).expect("valid workload");
+    trace::set_enabled(false);
+    let records = trace::drain();
+    let find = |seq: u64| records.iter().find(|r| r.seq == seq).unwrap();
+    let search = records.iter().find(|r| r.name == "search").expect("search span");
+    assert!(search.args.iter().any(|(k, v)| k == "algo" && v.as_str() == Some("sql")));
+    assert_eq!(records.iter().filter(|r| r.name == "iteration").count(), 3);
+    for query in ["sql.scan", "sql.rollup"] {
+        let r = records.iter().find(|r| r.name == query).expect("relational query spans");
+        assert_eq!(find(r.parent.unwrap()).name, "check", "{query} nests under check");
+    }
+    let plan = incognito::report::explain_trace(&records);
+    assert!(plan.contains("— sql (k=2) —"), "{plan}");
+    assert!(plan.lines().filter(|l| l.trim_start().starts_with(char::is_numeric)).count() >= 3);
 }
