@@ -41,7 +41,7 @@ fn panel(
         let cube = Cube::build_with_config(table, &qi, &cfg).expect("valid workload");
         let build = t0.elapsed();
         let t1 = Instant::now();
-        let r = anonymize_with_cube(table, &cube, &cfg, &mut |_| {}).expect("valid workload");
+        let r = anonymize_with_cube(table, &cube, &cfg).expect("valid workload");
         let anon = t1.elapsed();
         drop(cube);
         report.record_run("Cube Incognito", dataset, cfg.k, n, &r, build + anon);

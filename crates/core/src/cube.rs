@@ -16,7 +16,6 @@ use incognito_table::{GroupSpec, Table};
 use crate::error::validate_qi;
 use crate::incognito::{incognito_impl, AltSource, ZeroCube};
 use crate::provider::{FreqHandle, FreqProvider};
-use crate::trace::TraceEvent;
 use crate::{AlgoError, AnonymizationResult, Config};
 
 /// The pre-computed zero-generalization cube plus its build cost, kept
@@ -151,18 +150,8 @@ pub fn cube_incognito(
     qi: &[usize],
     cfg: &Config,
 ) -> Result<AnonymizationResult, AlgoError> {
-    cube_incognito_traced(table, qi, cfg, &mut |_| {})
-}
-
-/// [`cube_incognito`] with a trace sink.
-pub fn cube_incognito_traced(
-    table: &Table,
-    qi: &[usize],
-    cfg: &Config,
-    sink: &mut dyn FnMut(TraceEvent),
-) -> Result<AnonymizationResult, AlgoError> {
     let cube = Cube::build_with_config(table, qi, cfg)?;
-    anonymize_with_cube(table, &cube, cfg, sink)
+    anonymize_with_cube(table, &cube, cfg)
 }
 
 /// Run the Incognito search against a pre-built cube (the "marginal cost of
@@ -172,10 +161,9 @@ pub fn anonymize_with_cube(
     table: &Table,
     cube: &Cube,
     cfg: &Config,
-    sink: &mut dyn FnMut(TraceEvent),
 ) -> Result<AnonymizationResult, AlgoError> {
     let provider = FreqProvider::new(table, cfg);
-    let mut result = incognito_impl(&provider, &cube.qi, cfg, sink, AltSource::Cube(&cube.freq))?;
+    let mut result = incognito_impl(&provider, &cube.qi, cfg, AltSource::Cube(&cube.freq))?;
     let stats = result.stats_mut();
     stats.timings.cube_build = Some(cube.build_time);
     stats.freq_from_projection = cube.projections;
@@ -250,7 +238,7 @@ mod tests {
         let cube = Cube::build(&t, &[0, 1, 2], 2).unwrap();
         for k in [2, 3] {
             let cfg = Config::new(k);
-            let r = anonymize_with_cube(&t, &cube, &cfg, &mut |_| {}).unwrap();
+            let r = anonymize_with_cube(&t, &cube, &cfg).unwrap();
             assert_eq!(
                 r.generalizations(),
                 incognito(&t, &[0, 1, 2], &cfg).unwrap().generalizations()

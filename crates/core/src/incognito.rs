@@ -10,7 +10,7 @@ use incognito_lattice::{generate_next, CandidateGraph, NodeId};
 
 use crate::error::validate_qi;
 use crate::provider::{FreqHandle, FreqProvider};
-use crate::trace::{CheckSource, TraceEvent};
+use crate::trace::CheckSource;
 use crate::{AlgoError, AnonymizationResult, Config, Generalization, IterationStats, SearchStats};
 
 /// Run Incognito and return **all** k-anonymous full-domain generalizations
@@ -38,7 +38,7 @@ use crate::{AlgoError, AnonymizationResult, Config, Generalization, IterationSta
 /// assert!(!result.contains(&[0, 0]));
 /// ```
 pub fn incognito(table: &Table, qi: &[usize], cfg: &Config) -> Result<AnonymizationResult, AlgoError> {
-    incognito_impl(&FreqProvider::new(table, cfg), qi, cfg, &mut |_| {}, AltSource::None)
+    incognito_impl(&FreqProvider::new(table, cfg), qi, cfg, AltSource::None)
 }
 
 /// Basic (or Super-roots) Incognito with the paper's relational substrate:
@@ -54,19 +54,7 @@ pub fn incognito_sql(
 ) -> Result<AnonymizationResult, AlgoError> {
     let qi = validate_qi(table.schema(), qi, cfg.k)?;
     let provider = FreqProvider::relational(table, &qi, cfg)?;
-    incognito_impl(&provider, &qi, cfg, &mut |_| {}, AltSource::None)
-}
-
-/// Like [`incognito`], but also returns the full [`TraceEvent`] log.
-pub fn incognito_traced(
-    table: &Table,
-    qi: &[usize],
-    cfg: &Config,
-) -> Result<(AnonymizationResult, Vec<TraceEvent>), AlgoError> {
-    let mut events = Vec::new();
-    let provider = FreqProvider::new(table, cfg);
-    let result = incognito_impl(&provider, qi, cfg, &mut |e| events.push(e), AltSource::None)?;
-    Ok((result, events))
+    incognito_impl(&provider, &qi, cfg, AltSource::None)
 }
 
 /// Zero-generalization frequency sets keyed by QI-position bitmask
@@ -282,7 +270,6 @@ pub(crate) fn incognito_impl(
     provider: &FreqProvider<'_>,
     qi: &[usize],
     cfg: &Config,
-    sink: &mut dyn FnMut(TraceEvent),
     mut alt: AltSource<'_, '_>,
 ) -> Result<AnonymizationResult, AlgoError> {
     let schema = provider.table().schema().clone();
@@ -327,11 +314,6 @@ pub(crate) fn incognito_impl(
             .arg("arity", i as u64)
             .arg("candidates", graph.num_nodes() as u64)
             .arg("edges", graph.num_edges() as u64);
-        sink(TraceEvent::IterationStart {
-            arity: i,
-            candidates: graph.num_nodes(),
-            edges: graph.num_edges(),
-        });
         let num = graph.num_nodes();
         let mut alive = vec![true; num];
         let mut marked = vec![false; num];
@@ -425,7 +407,8 @@ pub(crate) fn incognito_impl(
 
         // Transitively mark everything reachable from `from` as k-anonymous
         // (generalization property; Example 3.1 marks implied
-        // generalizations too).
+        // generalizations too). Each newly marked node gets a zero-length
+        // `mark` span under the iteration, naming the node that implied it.
         let mark_from = |from: NodeId,
                          marked: &mut [bool],
                          processed: &[bool],
@@ -433,8 +416,7 @@ pub(crate) fn incognito_impl(
                          pending_out: &mut [u32],
                          cache: &mut FxHashMap<NodeId, FreqHandle>,
                          cache_gauges: &mut CacheGauges,
-                         it_stats: &mut IterationStats,
-                         sink: &mut dyn FnMut(TraceEvent)| {
+                         it_stats: &mut IterationStats| {
             let mut stack: Vec<NodeId> = graph.direct_generalizations(from).to_vec();
             while let Some(y) = stack.pop() {
                 if marked[y as usize] {
@@ -443,10 +425,13 @@ pub(crate) fn incognito_impl(
                 marked[y as usize] = true;
                 if !processed[y as usize] {
                     it_stats.nodes_marked += 1;
-                    sink(TraceEvent::Marked {
-                        spec: graph.node(y).parts.clone(),
-                        implied_by: graph.node(from).parts.clone(),
-                    });
+                    let mut mark_span = incognito_obs::trace::span("mark");
+                    if mark_span.is_active() {
+                        let label = |n: NodeId| crate::trace::spec_label(&graph.node(n).parts);
+                        mark_span.set_arg("node", label(y));
+                        mark_span.set_arg("implied_by", label(from));
+                    }
+                    mark_span.finish();
                 }
                 if !determined[y as usize] {
                     determined[y as usize] = true;
@@ -567,11 +552,6 @@ pub(crate) fn incognito_impl(
                     }
                 }
                 it_stats.nodes_checked += 1;
-                sink(TraceEvent::Checked {
-                    spec: graph.node(node).parts.clone(),
-                    via,
-                    anonymous,
-                });
 
                 if anonymous {
                     mark_from(
@@ -583,7 +563,6 @@ pub(crate) fn incognito_impl(
                         &mut cache,
                         &mut cache_gauges,
                         &mut it_stats,
-                        sink,
                     );
                 } else {
                     alive[node as usize] = false;
@@ -624,7 +603,6 @@ pub(crate) fn incognito_impl(
         }
         cache_gauges.publish();
         it_stats.wall = iter_start.elapsed();
-        sink(TraceEvent::IterationEnd { survivors: it_stats.survivors });
         iter_span.set_arg("checked", it_stats.nodes_checked as u64);
         iter_span.set_arg("marked", it_stats.nodes_marked as u64);
         iter_span.set_arg("survivors", it_stats.survivors as u64);
@@ -646,7 +624,6 @@ pub(crate) fn incognito_impl(
 mod tests {
     use super::*;
     use crate::testutil::{exhaustive_truth, patients};
-    use crate::trace::CheckSource;
 
     #[test]
     fn patients_2anonymous_sz() {
@@ -669,51 +646,6 @@ mod tests {
                 r.generalizations().iter().map(|g| g.levels.clone()).collect();
             assert_eq!(got, exhaustive_truth(&t, &[0, 1, 2], &cfg), "k={k}");
         }
-    }
-
-    #[test]
-    fn figure5a_search_narrative() {
-        // The ⟨Sex, Zipcode⟩ iteration of Example 3.1: ⟨S0,Z0⟩ fails, its
-        // generalizations ⟨S1,Z0⟩ and ⟨S0,Z1⟩ are checked via rollup;
-        // ⟨S1,Z0⟩ passes (marking ⟨S1,Z1⟩, ⟨S1,Z2⟩); ⟨S0,Z1⟩ fails; ⟨S0,Z2⟩
-        // passes. Exactly 4 checks and 2 marks in iteration 2.
-        let t = patients();
-        let (_r, events) = incognito_traced(&t, &[1, 2], &Config::new(2)).unwrap();
-        let iter2_start = events
-            .iter()
-            .position(|e| matches!(e, TraceEvent::IterationStart { arity: 2, .. }))
-            .unwrap();
-        let iter2 = &events[iter2_start..];
-        let checks: Vec<_> = iter2
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Checked { spec, anonymous, via } => {
-                    Some((spec.clone(), *anonymous, *via))
-                }
-                _ => None,
-            })
-            .collect();
-        assert_eq!(checks.len(), 4);
-        assert_eq!(checks[0].0, vec![(1, 0), (2, 0)]);
-        assert!(!checks[0].1);
-        assert_eq!(checks[0].2, CheckSource::TableScan);
-        // All later checks in the iteration derive from rollup.
-        assert!(checks[1..].iter().all(|c| c.2 == CheckSource::Rollup));
-        let verdicts: std::collections::HashMap<_, _> =
-            checks.iter().map(|(s, a, _)| (s.clone(), *a)).collect();
-        assert!(verdicts[&vec![(1, 1), (2, 0)]]);
-        assert!(!verdicts[&vec![(1, 0), (2, 1)]]);
-        assert!(verdicts[&vec![(1, 0), (2, 2)]]);
-        let marks: Vec<_> = iter2
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Marked { spec, .. } => Some(spec.clone()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(marks.len(), 2);
-        assert!(marks.contains(&vec![(1, 1), (2, 1)]));
-        assert!(marks.contains(&vec![(1, 1), (2, 2)]));
     }
 
     #[test]

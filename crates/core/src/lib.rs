@@ -39,7 +39,6 @@ pub mod cube;
 pub mod datafly;
 pub mod distance_matrix;
 mod error;
-pub mod explain;
 pub mod incognito;
 pub mod materialize;
 pub mod muargus;
@@ -52,7 +51,6 @@ pub mod trace;
 pub mod verify;
 
 pub use error::AlgoError;
-pub use explain::{render_dot, ExplainPlan};
 pub use incognito::{incognito, incognito_sql};
 pub use provider::{FreqHandle, FreqProvider};
 pub use result::{AnonymizationResult, Generalization};

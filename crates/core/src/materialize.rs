@@ -267,7 +267,6 @@ pub fn incognito_with_store(
         &crate::FreqProvider::new(table, cfg),
         qi,
         cfg,
-        &mut |_| {},
         crate::incognito::AltSource::Store(store),
     )
 }

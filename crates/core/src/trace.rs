@@ -1,6 +1,9 @@
-//! Structured trace of an Incognito run, used by the quickstart example to
-//! reproduce the paper's Example 3.1 narrative and by tests that assert on
-//! search behaviour (what was scanned, rolled up, marked).
+//! The vocabulary of the search's trace spans. Every node the engine
+//! *checks* opens a `check` span (args `node`, `via`, `anonymous`) and every
+//! node it *marks* through the generalization property opens a zero-length
+//! `mark` span (args `node`, `implied_by`), both under their `iteration`
+//! span — the paper's Example 3.1 narrative, readable from any `--trace`
+//! run (DESIGN.md §7).
 
 use incognito_hierarchy::LevelNo;
 
@@ -19,8 +22,7 @@ pub enum CheckSource {
 }
 
 impl CheckSource {
-    /// Stable lowercase label, used by trace-span args and the explain
-    /// renderer's column headers.
+    /// Stable lowercase label: the `check` span's `via` arg.
     pub fn as_str(self) -> &'static str {
         match self {
             CheckSource::TableScan => "scan",
@@ -32,7 +34,7 @@ impl CheckSource {
 }
 
 /// Render a node's `(attribute, level)` parts as the compact `a<i>L<l>`
-/// notation used in span args and explain output, e.g. `a1L0,a2L2`.
+/// notation of the `check` and `mark` span args, e.g. `a1L0,a2L2`.
 pub fn spec_label(spec: &[(usize, LevelNo)]) -> String {
     let mut s = String::new();
     for (i, &(a, l)) in spec.iter().enumerate() {
@@ -42,40 +44,4 @@ pub fn spec_label(spec: &[(usize, LevelNo)]) -> String {
         s.push_str(&format!("a{a}L{l}"));
     }
     s
-}
-
-/// One event in a search trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// A subset-size iteration began on a candidate graph.
-    IterationStart {
-        /// Subset size `i`.
-        arity: usize,
-        /// Number of candidate nodes.
-        candidates: usize,
-        /// Number of edges.
-        edges: usize,
-    },
-    /// A node's k-anonymity was checked by computing a frequency set.
-    Checked {
-        /// The node's `(attribute, level)` parts.
-        spec: Vec<(usize, LevelNo)>,
-        /// Where its frequency set came from.
-        via: CheckSource,
-        /// The verdict.
-        anonymous: bool,
-    },
-    /// A node was marked k-anonymous via the generalization property
-    /// without computing its frequency set.
-    Marked {
-        /// The marked node.
-        spec: Vec<(usize, LevelNo)>,
-        /// The anonymous node that implied it.
-        implied_by: Vec<(usize, LevelNo)>,
-    },
-    /// An iteration finished.
-    IterationEnd {
-        /// Number of nodes that survived (`|Sᵢ|`).
-        survivors: usize,
-    },
 }

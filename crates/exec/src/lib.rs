@@ -27,8 +27,9 @@
 //! Worker activity is observable: the pool emits `exec.*` counters through
 //! `incognito-obs` (`exec.tasks`, `exec.inline`, `exec.steals`,
 //! `exec.parks`) and every stolen-or-popped task runs inside an
-//! `exec.task` trace span tagged with the worker index, so Perfetto
-//! exports show which worker ran which `check` span.
+//! `exec.task` trace span tagged with the worker index and parented to
+//! the span that spawned it, so Perfetto exports show which worker ran
+//! which `check` span and the trace tree stays whole at any thread count.
 //!
 //! # Safety
 //!
@@ -56,7 +57,12 @@ use std::time::Duration;
 /// A type-erased, heap-allocated task. Tasks are `'static` from the
 /// queue's point of view; [`Scope::spawn`] erases the true `'scope`
 /// lifetime and [`Executor::scope`] restores the guarantee by joining.
-type Job = Box<dyn FnOnce() + Send + 'static>;
+struct Job {
+    run: Box<dyn FnOnce() + Send + 'static>,
+    /// The trace span open on the spawning thread, which the task's
+    /// `exec.task` span nests under wherever it runs.
+    parent_span: Option<u64>,
+}
 
 /// How long a parked worker sleeps before re-checking the queues. Parks
 /// are also interrupted eagerly by every push, so this only bounds the
@@ -158,7 +164,9 @@ impl Inner {
 
 /// Execute one claimed job, wrapped in a trace span so worker activity is
 /// visible in Perfetto exports (`worker` is the deque index, or the word
-/// "caller" for scope participants).
+/// "caller" for scope participants). The span's parent is the span that
+/// was open where the job was spawned, so a task stolen by a worker stays
+/// in its spawner's subtree.
 ///
 /// With memory attribution on, the span also carries the job's
 /// `alloc_bytes` delta and the `exec.alloc_bytes` counter accumulates it
@@ -172,9 +180,9 @@ fn run_job(job: Job, me: usize) {
     } else {
         None
     };
-    let span = incognito_obs::trace::span("exec.task");
+    let span = incognito_obs::trace::span_under("exec.task", job.parent_span);
     let span = if me == usize::MAX { span.arg("worker", "caller") } else { span.arg("worker", me as u64) };
-    job();
+    (job.run)();
     span.finish();
     if let Some(bytes_at_start) = mem_at_start {
         let delta = incognito_obs::mem::thread_allocated_bytes().saturating_sub(bytes_at_start);
@@ -242,8 +250,8 @@ impl<'pool, 'scope> Scope<'pool, 'scope> {
         // reaches zero (it waits even when the scope closure panics), so
         // the task — and every `'scope` borrow it captures — is dropped
         // while the borrowed stack frame is still alive.
-        let task: Job = unsafe { std::mem::transmute(task) };
-        self.exec.inner.push(task);
+        let run: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(task) };
+        self.exec.inner.push(Job { run, parent_span: incognito_obs::trace::current() });
     }
 }
 
@@ -490,6 +498,29 @@ mod tests {
         let pool = Executor::new(2);
         let out = pool.parallel_for_chunks(0, 8, |r| r.len());
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn tasks_nest_under_the_spawning_span() {
+        use incognito_obs::trace;
+        let pool = Executor::new(3);
+        trace::set_enabled(true);
+        let root = trace::span("spawner");
+        let root_seq = trace::current().expect("span open");
+        let items: Vec<u64> = (0..16).collect();
+        pool.parallel_map(&items, |_, &x| trace::span("work").arg("x", x).finish());
+        root.finish();
+        trace::set_enabled(false);
+        // Other tests in this binary may record spans while tracing is on;
+        // keep only this test's subtree.
+        let records = trace::drain();
+        let parent_of = |seq: u64| records.iter().find(|r| r.seq == seq).and_then(|r| r.parent);
+        let tasks = records.iter().filter(|r| r.name == "exec.task" && r.parent == Some(root_seq));
+        assert_eq!(tasks.count(), items.len(), "every task nests under the spawner");
+        let work = records
+            .iter()
+            .filter(|r| r.name == "work" && r.parent.and_then(parent_of) == Some(root_seq));
+        assert_eq!(work.count(), items.len(), "task bodies nest under their exec.task");
     }
 
     #[test]

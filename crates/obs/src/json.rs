@@ -69,6 +69,14 @@ impl Json {
         }
     }
 
+    /// The boolean value, if this is `Bool`.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
     /// The string value, if this is `Str`.
     pub fn as_str(&self) -> Option<&str> {
         match self {

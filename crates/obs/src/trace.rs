@@ -4,7 +4,9 @@
 //! Where [`crate::span`] feeds flat *timers* (aggregate count/total/max),
 //! a [`TraceSpan`] records one **event per occurrence** with its position
 //! in the call tree: each thread keeps a stack of open spans, a span's
-//! parent is whatever was on top of that stack when it opened, and the
+//! parent is whatever was on top of that stack when it opened (or, via
+//! [`current`] and [`span_under`], a span open on another thread — how a
+//! pool task nests under the span that spawned it), and the
 //! completed events land in a process-global collector. [`drain`] hands
 //! the events back; [`write_chrome_trace`] serializes them as complete
 //! (`"ph": "X"`) events with microsecond timestamps relative to a common
@@ -98,7 +100,8 @@ pub struct TraceRecord {
     /// Process-wide open order; parents always have a smaller `seq` than
     /// their children.
     pub seq: u64,
-    /// `seq` of the enclosing span, if any was open on the same thread.
+    /// `seq` of the enclosing span: the one open on the same thread, or
+    /// the explicit parent given to [`span_under`].
     pub parent: Option<u64>,
     /// Open time in nanoseconds since the trace epoch.
     pub ts_ns: u64,
@@ -106,6 +109,13 @@ pub struct TraceRecord {
     pub dur_ns: u64,
     /// Key/value annotations (the Chrome event `args`).
     pub args: Vec<(String, Json)>,
+}
+
+impl TraceRecord {
+    /// The annotation named `key`, if any.
+    pub fn arg(&self, key: &str) -> Option<&Json> {
+        self.args.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
 }
 
 /// One sample of a numeric counter track (exported as a Chrome
@@ -164,14 +174,31 @@ pub fn span(name: impl Into<String>) -> TraceSpan {
     if !enabled() {
         return TraceSpan { state: None };
     }
+    span_under(name, current())
+}
+
+/// The `seq` of the innermost span open on this thread, to hand to
+/// [`span_under`] on another thread. `None` while trace collection is
+/// disabled (one relaxed atomic load) or when no span is open.
+pub fn current() -> Option<u64> {
+    if !enabled() {
+        return None;
+    }
+    STACK.with(|s| s.borrow().last().copied())
+}
+
+/// Open a span named `name` whose parent is `parent`, a `seq` taken with
+/// [`current`] — possibly on another thread — instead of this thread's
+/// innermost open span; `None` makes it a root. Spans opened inside it on
+/// this thread still nest under it. This is how a task carries its
+/// spawner's span onto a pool worker.
+pub fn span_under(name: impl Into<String>, parent: Option<u64>) -> TraceSpan {
+    if !enabled() {
+        return TraceSpan { state: None };
+    }
     let seq = NEXT_SEQ.fetch_add(1, Ordering::Relaxed);
     let tid = TID.with(|t| *t);
-    let parent = STACK.with(|s| {
-        let mut s = s.borrow_mut();
-        let parent = s.last().copied();
-        s.push(seq);
-        parent
-    });
+    STACK.with(|s| s.borrow_mut().push(seq));
     let mem_at_open = if crate::mem::enabled() {
         Some((crate::mem::thread_allocated_bytes(), crate::mem::thread_alloc_count()))
     } else {
@@ -627,9 +654,7 @@ mod tests {
 
         let records = drain();
         let r = records.iter().find(|r| r.name == "mem_attr_test").expect("span recorded");
-        let get = |k: &str| {
-            r.args.iter().find(|(key, _)| key == k).and_then(|(_, v)| v.as_int())
-        };
+        let get = |k: &str| r.arg(k).and_then(Json::as_int);
         assert!(get("alloc_bytes").expect("alloc_bytes arg") >= 1 << 18);
         assert!(get("allocs").expect("allocs arg") >= 1);
         assert!(get("peak_live").expect("peak_live arg") > 0);

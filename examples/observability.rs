@@ -43,7 +43,7 @@ fn main() {
     let before = obs::snapshot();
     let t0 = Instant::now();
     let cube = Cube::build(&table, &qi, config.k).expect("valid workload");
-    let cubed = anonymize_with_cube(&table, &cube, &config, &mut |_| {}).expect("valid workload");
+    let cubed = anonymize_with_cube(&table, &cube, &config).expect("valid workload");
     let cube_wall = t0.elapsed();
     let cube_metrics = obs::snapshot().diff(&before);
 

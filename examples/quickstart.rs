@@ -2,13 +2,15 @@
 //!
 //! Reproduces the Figure 1 joining attack, then walks Basic Incognito over
 //! the Patients table exactly as Examples 3.1/3.2 describe, prints every
-//! search decision, and materializes the minimal 2-anonymous view.
+//! search decision from the run's trace spans, and materializes the
+//! minimal 2-anonymous view.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use incognito::algo::trace::TraceEvent;
-use incognito::algo::{incognito::incognito_traced, Config};
+use incognito::algo::{incognito as run_incognito, Config};
 use incognito::data::{patients, voter_registration};
+use incognito::obs::trace::{self, TraceRecord};
+use incognito::obs::Json;
 
 fn main() {
     let patients = patients();
@@ -48,35 +50,69 @@ fn main() {
     let qi = [0usize, 1, 2];
     let k = 2;
     println!("\nRunning Basic Incognito (k = {k}) over ⟨Birthdate, Sex, Zipcode⟩...");
-    let (result, trace) =
-        incognito_traced(&patients, &qi, &Config::new(k)).expect("valid workload");
+    trace::set_enabled(true);
+    let result = run_incognito(&patients, &qi, &Config::new(k)).expect("valid workload");
+    trace::set_enabled(false);
+    let spans = trace::drain();
     let schema = patients.schema();
-    let show = |spec: &[(usize, u8)]| -> String {
-        let parts: Vec<String> = spec
-            .iter()
-            .map(|&(a, l)| format!("{}{}", initial(schema.attribute(a).name()), l))
+    // Span args name a node by its `a<attribute>L<level>` parts, e.g.
+    // `a1L0,a2L2`; print it in the paper's ⟨S0,Z2⟩ notation.
+    let show = |label: &str| -> String {
+        let parts: Vec<String> = label
+            .split(',')
+            .map(|part| {
+                let (a, l) = part[1..].split_once('L').expect("a<attribute>L<level>");
+                let a: usize = a.parse().expect("attribute index");
+                format!("{}{}", initial(schema.attribute(a).name()), l)
+            })
             .collect();
         format!("⟨{}⟩", parts.join(","))
     };
-    for event in &trace {
-        match event {
-            TraceEvent::IterationStart { arity, candidates, edges } => {
-                println!("  iteration {arity}: {candidates} candidate nodes, {edges} edges");
+    let int = |r: &TraceRecord, key: &str| r.arg(key).and_then(Json::as_int).unwrap_or(0);
+    let text = |r: &TraceRecord, key: &str| {
+        r.arg(key).and_then(Json::as_str).unwrap_or("?").to_owned()
+    };
+    for search in trace::build_tree(&spans) {
+        for iteration in &search.children {
+            let it = &spans[iteration.index];
+            if it.name != "iteration" {
+                continue;
             }
-            TraceEvent::Checked { spec, via, anonymous } => {
-                println!(
-                    "    check {:10} via {:?}: {}",
-                    show(spec),
-                    via,
-                    if *anonymous { "k-anonymous" } else { "NOT k-anonymous" }
-                );
+            println!(
+                "  iteration {}: {} candidate nodes, {} edges",
+                int(it, "arity"),
+                int(it, "candidates"),
+                int(it, "edges")
+            );
+            // Checks and marks in the order they opened; with more than one
+            // thread a wave's checks run inside `exec.task` spans.
+            let decisions = iteration.children.iter().flat_map(|c| {
+                match spans[c.index].name.as_str() {
+                    "exec.task" => c.children.iter().collect(),
+                    _ => vec![c],
+                }
+            });
+            for d in decisions {
+                let r = &spans[d.index];
+                match r.name.as_str() {
+                    "check" => {
+                        let anonymous = r.arg("anonymous").and_then(Json::as_bool) == Some(true);
+                        println!(
+                            "    check {:10} via {}: {}",
+                            show(&text(r, "node")),
+                            text(r, "via"),
+                            if anonymous { "k-anonymous" } else { "NOT k-anonymous" }
+                        );
+                    }
+                    "mark" => println!(
+                        "    mark  {:10} (implied by {})",
+                        show(&text(r, "node")),
+                        show(&text(r, "implied_by"))
+                    ),
+                    _ => {}
+                }
             }
-            TraceEvent::Marked { spec, implied_by } => {
-                println!("    mark  {:10} (implied by {})", show(spec), show(implied_by));
-            }
-            TraceEvent::IterationEnd { survivors } => {
-                println!("    -> {survivors} nodes survive");
-            }
+            println!("    -> {} nodes survive", int(it, "survivors"));
         }
     }
 

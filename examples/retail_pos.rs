@@ -58,7 +58,7 @@ fn main() {
     );
     for k in [2u64, 10, 50] {
         let t = Instant::now();
-        let r = anonymize_with_cube(&table, &cube, &Config::new(k), &mut |_| {})
+        let r = anonymize_with_cube(&table, &cube, &Config::new(k))
             .expect("valid workload");
         println!(
             "  k = {k:>2}: {} generalizations in {:.3}s (marginal, cube reused)",

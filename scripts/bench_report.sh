@@ -71,7 +71,7 @@ for e in events:
         names.add(e["name"])
     else:
         counter_tracks.add(e["name"])
-for required in ("search", "iteration", "check", "table.scan"):
+for required in ("search", "iteration", "check", "mark", "table.scan"):
     assert required in names, f"trace lacks {required!r} spans"
 assert "mem.live_bytes" in counter_tracks, "trace lacks the live-bytes counter track"
 print(f"OK: {sys.argv[2]} valid ({len(events)} events, counter tracks: {sorted(counter_tracks)})")
@@ -81,7 +81,7 @@ else
   for key in '"runs"' '"iterations"' '"wall_secs"' '"table.scan.count"'; do
     grep -q "$key" "$report" || { echo "FAIL: $report lacks $key" >&2; exit 1; }
   done
-  for key in '"traceEvents"' '"ph": "X"' '"iteration"' '"table.scan"'; do
+  for key in '"traceEvents"' '"ph": "X"' '"iteration"' '"mark"' '"table.scan"'; do
     grep -q "$key" "$trace" || { echo "FAIL: $trace lacks $key" >&2; exit 1; }
   done
   echo "OK: $report and $trace present with required fields (python3 unavailable; grep check)"

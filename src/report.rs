@@ -20,7 +20,7 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
-use incognito_obs::trace::{build_tree, profile, TraceRecord};
+use incognito_obs::trace::{build_tree, profile, TraceNode, TraceRecord};
 use incognito_obs::Json;
 
 /// Top-level report fields that identify the *recording*, not the
@@ -443,14 +443,6 @@ pub fn load_trace(path: &Path) -> Result<Vec<TraceRecord>, String> {
     incognito_obs::trace::from_chrome_json(&doc).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-fn arg_int(r: &TraceRecord, key: &str) -> Option<i64> {
-    r.args.iter().find(|(k, _)| k == key).and_then(|(_, v)| v.as_int())
-}
-
-fn arg_str<'a>(r: &'a TraceRecord, key: &str) -> Option<&'a str> {
-    r.args.iter().find(|(k, _)| k == key).and_then(|(_, v)| v.as_str())
-}
-
 fn fmt_ns(ns: u64) -> String {
     let s = ns as f64 / 1e9;
     if s >= 1.0 {
@@ -462,166 +454,124 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// Fold a span tree back into a per-iteration search-plan table (the
-/// explain plan the `--trace` flag captured) followed by a self-time
-/// profile. Every engine, the SQL path included, emits the shared
-/// `search`/`iteration`/`check` spans; the `search` span's `algo` arg
-/// labels each section.
+/// Append `rows` under `headers` as an aligned text table: the first
+/// column left-aligned, the rest right-aligned, a rule under the header.
+/// A one-cell row is a section heading printed across the table.
+fn write_table(out: &mut String, headers: &[&str], rows: &[Vec<String>]) {
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
+    for row in rows.iter().filter(|r| r.len() > 1) {
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.chars().count());
+        }
+    }
+    let mut line = |cells: &[&str]| {
+        let mut text = String::new();
+        for (i, (cell, w)) in cells.iter().zip(&widths).enumerate() {
+            let pad = " ".repeat(w.saturating_sub(cell.chars().count()));
+            if i == 0 {
+                text.push_str(cell);
+                text.push_str(&pad);
+            } else {
+                text.push_str("  ");
+                text.push_str(&pad);
+                text.push_str(cell);
+            }
+        }
+        out.push_str(text.trim_end());
+        out.push('\n');
+    };
+    line(headers);
+    line(&[&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1))]);
+    for row in rows {
+        line(&row.iter().map(String::as_str).collect::<Vec<_>>());
+    }
+}
+
+/// Fold a span tree back into a per-iteration search-plan table followed
+/// by a self-time profile. Every engine, the SQL path included, emits the
+/// shared `search`/`iteration`/`check`/`mark` spans; the `search` span's
+/// `algo` arg labels each section. With more than one thread a wave's
+/// `check` spans sit one level down, inside the `exec.task` that ran them.
 pub fn explain_trace(records: &[TraceRecord]) -> String {
     let forest = build_tree(records);
-    let mut out = String::new();
+    let int = |r: &TraceRecord, key: &str| {
+        r.arg(key).and_then(Json::as_int).map_or_else(|| "?".to_owned(), |v| v.to_string())
+    };
 
     // Per-iteration rows, in span-open order. Each "search" root owns its
     // iterations; label the section with the search's algo/k args.
-    let mut rows: Vec<[String; 9]> = Vec::new();
-    let mut stack: Vec<&incognito_obs::trace::TraceNode> = forest.iter().rev().collect();
+    let mut rows: Vec<Vec<String>> = Vec::new();
+    let mut stack: Vec<&TraceNode> = forest.iter().rev().collect();
     while let Some(node) = stack.pop() {
         let r = &records[node.index];
         if r.name == "search" {
-            let algo = arg_str(r, "algo").unwrap_or("?");
-            let k = arg_int(r, "k").unwrap_or(0);
-            rows.push([
-                format!("— {algo} (k={k}) —"),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-            ]);
+            let algo = r.arg("algo").and_then(Json::as_str).unwrap_or("?");
+            rows.push(vec![format!("— {algo} (k={}) —", int(r, "k"))]);
         }
         if r.name == "iteration" {
-            let mut by_source = [0i64; 4]; // scan, rollup, superroot, cube
-            let mut anonymous = 0i64;
-            for child in &node.children {
-                let c = &records[child.index];
-                if c.name != "check" {
-                    continue;
+            const SOURCES: [&str; 4] = ["scan", "rollup", "superroot", "cube"];
+            let mut by_source = [0u64; 4];
+            let mut anonymous = 0u64;
+            let checks = node
+                .children
+                .iter()
+                .flat_map(|c| match records[c.index].name.as_str() {
+                    "exec.task" => c.children.iter().collect(),
+                    _ => vec![c],
+                })
+                .map(|c| &records[c.index])
+                .filter(|c| c.name == "check");
+            for c in checks {
+                let via = c.arg("via").and_then(Json::as_str);
+                if let Some(i) = SOURCES.iter().position(|&v| Some(v) == via) {
+                    by_source[i] += 1;
                 }
-                match arg_str(c, "via") {
-                    Some("scan") => by_source[0] += 1,
-                    Some("rollup") => by_source[1] += 1,
-                    Some("superroot") => by_source[2] += 1,
-                    Some("cube") => by_source[3] += 1,
-                    _ => {}
-                }
-                if matches!(
-                    c.args.iter().find(|(k, _)| k == "anonymous"),
-                    Some((_, Json::Bool(true)))
-                ) {
+                if c.arg("anonymous").and_then(Json::as_bool) == Some(true) {
                     anonymous += 1;
                 }
             }
-            rows.push([
-                arg_int(r, "arity").map_or_else(|| "?".into(), |v| v.to_string()),
-                arg_int(r, "candidates").map_or_else(|| "?".into(), |v| v.to_string()),
-                arg_int(r, "edges").map_or_else(|| "?".into(), |v| v.to_string()),
-                by_source[0].to_string(),
-                by_source[1].to_string(),
-                (by_source[2] + by_source[3]).to_string(),
+            let mut row = vec![int(r, "arity"), int(r, "candidates"), int(r, "edges")];
+            row.extend(by_source.iter().map(u64::to_string));
+            row.extend([
                 anonymous.to_string(),
-                arg_int(r, "survivors").map_or_else(|| "?".into(), |v| v.to_string()),
+                int(r, "marked"),
+                int(r, "survivors"),
                 fmt_ns(r.dur_ns),
             ]);
+            rows.push(row);
         }
         stack.extend(node.children.iter().rev());
     }
 
-    let headers = ["iter", "cands", "edges", "scan", "rollup", "other", "anon", "surv", "wall"];
+    let mut out = String::new();
     if rows.is_empty() {
         out.push_str("no iteration spans in trace\n");
     } else {
-        let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
-        for row in &rows {
-            // Section-header rows span the table; skip them when sizing.
-            if row[1].is_empty() {
-                continue;
-            }
-            for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.chars().count());
-            }
-        }
-        for (i, (h, w)) in headers.iter().zip(&widths).enumerate() {
-            if i > 0 {
-                out.push_str("  ");
-            }
-            out.push_str(&" ".repeat(w.saturating_sub(h.chars().count())));
-            out.push_str(h);
-        }
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
-        out.push('\n');
-        for row in &rows {
-            if row[1].is_empty() {
-                out.push_str(&row[0]);
-                out.push('\n');
-                continue;
-            }
-            for (i, (cell, w)) in row.iter().zip(&widths).enumerate() {
-                if i > 0 {
-                    out.push_str("  ");
-                }
-                out.push_str(&" ".repeat(w.saturating_sub(cell.chars().count())));
-                out.push_str(cell);
-            }
-            out.push('\n');
-        }
+        let headers = [
+            "iter", "cands", "edges", "scan", "rollup", "sroot", "cube", "anon", "marked", "surv",
+            "wall",
+        ];
+        write_table(&mut out, &headers, &rows);
     }
 
     // Self-time profile: where did the wall clock actually go?
     let prof = profile(records);
     if !prof.is_empty() {
         out.push_str("\nspan profile (by total time):\n");
-        let mut prows: Vec<[String; 5]> = Vec::new();
-        for p in prof.iter().take(12) {
-            prows.push([
-                p.name.clone(),
-                p.count.to_string(),
-                fmt_ns(p.total_ns),
-                fmt_ns(p.self_ns),
-                fmt_ns(p.max_ns),
-            ]);
-        }
-        let pheaders = ["span", "count", "total", "self", "max"];
-        let mut widths: Vec<usize> = pheaders.iter().map(|h| h.chars().count()).collect();
-        for row in &prows {
-            for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.chars().count());
-            }
-        }
-        for (i, (h, w)) in pheaders.iter().zip(&widths).enumerate() {
-            if i > 0 {
-                out.push_str("  ");
-            }
-            if i == 0 {
-                out.push_str(h);
-                out.push_str(&" ".repeat(w.saturating_sub(h.chars().count())));
-            } else {
-                out.push_str(&" ".repeat(w.saturating_sub(h.chars().count())));
-                out.push_str(h);
-            }
-        }
-        out.push('\n');
-        for row in &prows {
-            for (i, (cell, w)) in row.iter().zip(&widths).enumerate() {
-                if i > 0 {
-                    out.push_str("  ");
-                }
-                if i == 0 {
-                    out.push_str(cell);
-                    out.push_str(&" ".repeat(w.saturating_sub(cell.chars().count())));
-                } else {
-                    out.push_str(&" ".repeat(w.saturating_sub(cell.chars().count())));
-                    out.push_str(cell);
-                }
-            }
-            while out.ends_with(' ') {
-                out.pop();
-            }
-            out.push('\n');
-        }
+        let prows: Vec<Vec<String>> = prof
+            .iter()
+            .take(12)
+            .map(|p| {
+                vec![
+                    p.name.clone(),
+                    p.count.to_string(),
+                    fmt_ns(p.total_ns),
+                    fmt_ns(p.self_ns),
+                    fmt_ns(p.max_ns),
+                ]
+            })
+            .collect();
+        write_table(&mut out, &["span", "count", "total", "self", "max"], &prows);
     }
     out
 }
@@ -771,6 +721,7 @@ mod tests {
                     ("arity", Json::Int(1)),
                     ("candidates", Json::Int(3)),
                     ("edges", Json::Int(2)),
+                    ("marked", Json::Int(2)),
                     ("survivors", Json::Int(3)),
                 ],
             ),
@@ -781,20 +732,24 @@ mod tests {
                 1_000,
                 vec![("via", "scan".into()), ("anonymous", Json::Bool(true))],
             ),
+            // A wave-parallel check, one level down inside its pool task.
+            mk("exec.task", 4, Some(2), 1_200, vec![("worker", Json::Int(0))]),
             mk(
                 "check",
-                4,
-                Some(2),
+                5,
+                Some(4),
                 1_000,
                 vec![("via", "rollup".into()), ("anonymous", Json::Bool(false))],
             ),
+            mk("mark", 6, Some(2), 0, vec![("node", "a0L1".into()), ("implied_by", "a0L0".into())]),
         ];
         let text = explain_trace(&records);
         assert!(text.contains("basic"), "{text}");
         let row = text.lines().find(|l| l.trim_start().starts_with('1')).unwrap();
-        // arity=1, 3 candidates, 2 edges, 1 scan, 1 rollup, 0 other, 1 anon, 3 survivors.
+        // arity=1, 3 candidates, 2 edges, 1 scan, 1 rollup (through its
+        // exec.task), 0 superroot, 0 cube, 1 anon, 2 marked, 3 survivors.
         let cells: Vec<&str> = row.split_whitespace().collect();
-        assert_eq!(&cells[..8], &["1", "3", "2", "1", "1", "0", "1", "3"]);
+        assert_eq!(&cells[..10], &["1", "3", "2", "1", "1", "0", "0", "1", "2", "3"]);
         assert!(text.contains("span profile"), "{text}");
     }
 }

@@ -47,7 +47,7 @@ fn landsend_pipeline_with_cube_reuse() {
     let qi = [0usize, 1, 2, 3];
     let cube = Cube::build(&table, &qi, 2).unwrap();
     for k in [2u64, 25] {
-        let via_cube = anonymize_with_cube(&table, &cube, &Config::new(k), &mut |_| {}).unwrap();
+        let via_cube = anonymize_with_cube(&table, &cube, &Config::new(k)).unwrap();
         let basic = run_incognito(&table, &qi, &Config::new(k)).unwrap();
         assert_eq!(via_cube.generalizations(), basic.generalizations(), "k={k}");
         // Cube path scans the base table exactly once (the cube seed).

@@ -17,7 +17,7 @@ const TASKS: usize = 64;
 const LEAF_BYTES: usize = 1 << 16; // 64 KiB per leaf allocation
 
 fn arg_int(r: &trace::TraceRecord, key: &str) -> Option<i64> {
-    r.args.iter().find(|(k, _)| k == key).and_then(|(_, v)| v.as_int())
+    r.arg(key).and_then(Json::as_int)
 }
 
 #[test]
@@ -106,7 +106,7 @@ fn eight_workers_attribute_allocations_without_loss_or_crosstalk() {
     let exec_tasks: Vec<_> = records.iter().filter(|r| r.name == "exec.task").collect();
     assert!(!exec_tasks.is_empty(), "executor wraps jobs in exec.task spans");
     for r in exec_tasks {
-        if let Some((_, v)) = r.args.iter().find(|(k, _)| k == "worker") {
+        if let Some(v) = r.arg("worker") {
             assert!(!matches!(v, Json::Null));
         }
     }
