@@ -6,7 +6,9 @@
 //!   pruned graph vs. the full join product);
 //! * **A3 prune structure** — Apriori hash tree vs. flat hash set in the
 //!   prune phase;
-//! * **A4 super-roots** — root grouping on vs. off (§4.2.2's scan savings).
+//! * **A4 super-roots** — root grouping on vs. off (§4.2.2's scan savings);
+//! * **A5 materialization** — repeated anonymization across k, rescanning
+//!   each time vs. one prebuilt Cube Incognito cube (§7).
 //!
 //! Plain `fn main()` harness (see `incognito_bench::micro`); run with
 //! `cargo bench -p incognito-bench --bench ablations`.
@@ -64,8 +66,8 @@ fn bench_superroots_ablation() {
 
 fn bench_materialization_ablation() {
     // §7 future work: repeated anonymization (varying k) with and without
-    // a materialized frequency-set store.
-    use incognito_core::materialize::{incognito_with_store, FreqStore, MaterializationPolicy};
+    // materialized zero-generalization frequency sets.
+    use incognito_core::cube::{anonymize_with_cube, Cube};
     let table = adults(&AdultsConfig { rows: 45_222, seed: 1 });
     let qi: Vec<usize> = (0..5).collect();
     let ks = [2u64, 5, 10, 25, 50];
@@ -75,12 +77,10 @@ fn bench_materialization_ablation() {
             std::hint::black_box(incognito(&table, &qi, &Config::new(k)).unwrap());
         }
     });
-    group.case("zero_cube_store", || {
-        let mut store = FreqStore::build(&table, &qi, MaterializationPolicy::ZeroCube).unwrap();
+    group.case("prebuilt_cube", || {
+        let cube = Cube::build(&table, &qi, ks[0]).unwrap();
         for &k in &ks {
-            std::hint::black_box(
-                incognito_with_store(&table, &qi, &Config::new(k), &mut store).unwrap(),
-            );
+            std::hint::black_box(anonymize_with_cube(&table, &cube, &Config::new(k)).unwrap());
         }
     });
 }

@@ -14,7 +14,7 @@ use std::time::Instant;
 use incognito_table::{GroupSpec, Table};
 
 use crate::error::validate_qi;
-use crate::incognito::{incognito_impl, AltSource, ZeroCube};
+use crate::incognito::{incognito_impl, ZeroCube};
 use crate::provider::{FreqHandle, FreqProvider};
 use crate::{AlgoError, AnonymizationResult, Config};
 
@@ -34,18 +34,7 @@ impl Cube {
     /// Build the zero-generalization frequency sets of every non-empty
     /// subset of `qi` with a single base-table scan.
     pub fn build(table: &Table, qi: &[usize], k: u64) -> Result<Cube, AlgoError> {
-        Self::build_with_threads(table, qi, k, 1)
-    }
-
-    /// [`Cube::build`] with a worker-thread count (see
-    /// [`Cube::build_with_config`] for the full knob set).
-    pub fn build_with_threads(
-        table: &Table,
-        qi: &[usize],
-        k: u64,
-        threads: usize,
-    ) -> Result<Cube, AlgoError> {
-        Self::build_with_config(table, qi, &Config::new(k).with_threads(threads))
+        Self::build_with_config(table, qi, &Config::new(k).with_threads(1))
     }
 
     /// Build the cube under a [`Config`]. With `cfg.threads > 1` the
@@ -163,7 +152,7 @@ pub fn anonymize_with_cube(
     cfg: &Config,
 ) -> Result<AnonymizationResult, AlgoError> {
     let provider = FreqProvider::new(table, cfg);
-    let mut result = incognito_impl(&provider, &cube.qi, cfg, AltSource::Cube(&cube.freq))?;
+    let mut result = incognito_impl(&provider, &cube.qi, cfg, Some(&cube.freq))?;
     let stats = result.stats_mut();
     stats.timings.cube_build = Some(cube.build_time);
     stats.freq_from_projection = cube.projections;

@@ -38,7 +38,7 @@ use crate::{AlgoError, AnonymizationResult, Config, Generalization, IterationSta
 /// assert!(!result.contains(&[0, 0]));
 /// ```
 pub fn incognito(table: &Table, qi: &[usize], cfg: &Config) -> Result<AnonymizationResult, AlgoError> {
-    incognito_impl(&FreqProvider::new(table, cfg), qi, cfg, AltSource::None)
+    incognito_impl(&FreqProvider::new(table, cfg), qi, cfg, None)
 }
 
 /// Basic (or Super-roots) Incognito with the paper's relational substrate:
@@ -54,7 +54,7 @@ pub fn incognito_sql(
 ) -> Result<AnonymizationResult, AlgoError> {
     let qi = validate_qi(table.schema(), qi, cfg.k)?;
     let provider = FreqProvider::relational(table, &qi, cfg)?;
-    incognito_impl(&provider, &qi, cfg, AltSource::None)
+    incognito_impl(&provider, &qi, cfg, None)
 }
 
 /// Zero-generalization frequency sets keyed by QI-position bitmask
@@ -62,18 +62,6 @@ pub fn incognito_sql(
 /// Values are provider handles, so an over-budget cube build spills its
 /// subsets to disk like any other frequency set.
 pub(crate) type ZeroCube = FxHashMap<u32, FreqHandle>;
-
-/// An alternative source of frequency sets consulted before scanning the
-/// base table: Cube Incognito's zero-generalization cube, or a
-/// [`crate::materialize::FreqStore`] (§7's strategic materialization).
-pub(crate) enum AltSource<'a, 't> {
-    /// No alternative: roots scan the table (Basic / Super-roots).
-    None,
-    /// Roll root frequency sets up from the zero-generalization cube.
-    Cube(&'a ZeroCube),
-    /// Answer from a materialized frequency-set store.
-    Store(&'a mut crate::materialize::FreqStore<'t>),
-}
 
 /// How one wave candidate will obtain its frequency set. Plans are decided
 /// serially against the wave-start cache state; because candidates of
@@ -90,13 +78,10 @@ enum FreqPlan<'f> {
     SuperRoot { root: &'f FreqHandle, target: Vec<u8> },
     /// Scan the base table.
     Scan { spec: GroupSpec },
-    /// Ask the materialized store. The store caches lazily (`&mut`), so
-    /// these plans are always evaluated serially, never on the pool.
-    Store { spec: GroupSpec },
 }
 
 /// Decide how `node` gets its frequency set, mirroring the serial
-/// engine's source preference: cached-parent rollup, then cube / store /
+/// engine's source preference: cached-parent rollup, then cube or
 /// super-root, then a table scan.
 #[allow(clippy::too_many_arguments)]
 fn plan_freq<'f>(
@@ -107,7 +92,6 @@ fn plan_freq<'f>(
     cache: &'f FxHashMap<NodeId, FreqHandle>,
     superroot_freq: &'f FxHashMap<Vec<usize>, FreqHandle>,
     cube: Option<&'f ZeroCube>,
-    is_store: bool,
     qi_pos: &FxHashMap<usize, usize>,
 ) -> Result<FreqPlan<'f>, AlgoError> {
     let spec = graph.node(node).to_group_spec()?;
@@ -122,9 +106,6 @@ fn plan_freq<'f>(
             graph.node(node).parts.iter().fold(0u32, |m, &(a, _)| m | (1 << qi_pos[&a]));
         let zero = cube.get(&mask).expect("cube covers every QI subset");
         return Ok(FreqPlan::Cube { zero, target: graph.node(node).levels() });
-    }
-    if is_store {
-        return Ok(FreqPlan::Store { spec });
     }
     if let Some(root) = superroot_freq.get(&graph.node(node).attr_set()) {
         return Ok(FreqPlan::SuperRoot { root, target: graph.node(node).levels() });
@@ -143,7 +124,7 @@ struct Checked {
     rollup_time: Duration,
 }
 
-/// Evaluate one non-store plan. Reads only shared state, so it is safe on
+/// Evaluate one plan. Reads only shared state, so it is safe on
 /// any pool worker; the `check` trace span opens on the executing thread,
 /// which is what makes multi-worker checks visible in Perfetto exports.
 fn eval_plan(
@@ -186,35 +167,11 @@ fn eval_plan(
             scan_time = t0.elapsed();
             (f, CheckSource::TableScan)
         }
-        FreqPlan::Store { .. } => unreachable!("store plans are evaluated serially"),
     };
     let anonymous = cfg.passes_handle(&freq)?;
     check_span.set_arg("via", via.as_str());
     check_span.set_arg("anonymous", anonymous);
     Ok(Checked { freq, via, anonymous, scan_time, rollup_time })
-}
-
-/// Evaluate one store-backed plan. Takes the store mutably (it caches the
-/// answer), hence serial.
-fn eval_store(
-    store: &mut crate::materialize::FreqStore<'_>,
-    cfg: &Config,
-    graph: &CandidateGraph,
-    node: NodeId,
-    spec: &GroupSpec,
-) -> Result<Checked, AlgoError> {
-    let mut check_span = incognito_obs::trace::span("check");
-    if check_span.is_active() {
-        check_span.set_arg("node", crate::trace::spec_label(&graph.node(node).parts));
-    }
-    let t0 = Instant::now();
-    let freq = store.frequency_set(spec)?;
-    let rollup_time = t0.elapsed();
-    let anonymous = cfg.passes(&freq);
-    let via = CheckSource::Cube;
-    check_span.set_arg("via", via.as_str());
-    check_span.set_arg("anonymous", anonymous);
-    Ok(Checked { freq: FreqHandle::Mem(freq), via, anonymous, scan_time: Duration::ZERO, rollup_time })
 }
 
 /// Incrementally tracked occupancy of the per-iteration frequency-set
@@ -261,16 +218,17 @@ impl CacheGauges {
     }
 }
 
-/// Shared engine behind Basic, Super-roots, Cube, store-backed, and
-/// SQL-path Incognito. Every frequency set comes through `provider`, which
-/// fixes the substrate (columnar table or star schema) and, for the
-/// columnar one, spills to disk while the process is over the memory
-/// budget.
+/// Shared engine behind Basic, Super-roots, Cube, and SQL-path
+/// Incognito. With `cube`, root frequency sets roll up from Cube
+/// Incognito's zero-generalization cube instead of scanning the table.
+/// Every frequency set comes through `provider`, which fixes the
+/// substrate (columnar table or star schema) and, for the columnar one,
+/// spills to disk while the process is over the memory budget.
 pub(crate) fn incognito_impl(
     provider: &FreqProvider<'_>,
     qi: &[usize],
     cfg: &Config,
-    mut alt: AltSource<'_, '_>,
+    cube: Option<&ZeroCube>,
 ) -> Result<AnonymizationResult, AlgoError> {
     let schema = provider.table().schema().clone();
     let qi = validate_qi(&schema, qi, cfg.k)?;
@@ -280,12 +238,11 @@ pub(crate) fn incognito_impl(
         qi.iter().enumerate().map(|(p, &a)| (a, p)).collect();
 
     let search_start = Instant::now();
-    let algo = match (&alt, cfg.superroots) {
+    let algo = match (cube, cfg.superroots) {
         _ if provider.is_relational() => "sql",
-        (AltSource::None, false) => "basic",
-        (AltSource::None, true) => "superroots",
-        (AltSource::Cube(_), _) => "cube",
-        (AltSource::Store(_), _) => "store",
+        (Some(_), _) => "cube",
+        (None, false) => "basic",
+        (None, true) => "superroots",
     };
     let _search_span = incognito_obs::trace::span("search")
         .arg("algo", algo)
@@ -299,14 +256,6 @@ pub(crate) fn incognito_impl(
     // scans. `None` (threads == 1) keeps the engine on the strictly serial
     // path whose counters the committed regression baseline pins.
     let pool = (cfg.threads > 1).then(|| incognito_exec::shared(cfg.threads));
-    // The cube is read-only during the search: hold a direct reference so
-    // wave plans can borrow zero-generalization frequency sets without
-    // touching `alt` (whose store variant needs `&mut`).
-    let cube: Option<&ZeroCube> = match &alt {
-        AltSource::Cube(c) => Some(c),
-        _ => None,
-    };
-    let is_store = matches!(alt, AltSource::Store(_));
 
     for i in 1..=n {
         let iter_start = Instant::now();
@@ -338,7 +287,7 @@ pub(crate) fn incognito_impl(
         // ⟨B0,S0,Z0⟩ from the three roots of Figure 7(a) — the component-
         // wise minimum — which is what rolling *up* to each root requires.)
         let mut superroot_freq: FxHashMap<Vec<usize>, FreqHandle> = FxHashMap::default();
-        if cfg.superroots && matches!(alt, AltSource::None) {
+        if cfg.superroots && cube.is_none() {
             let roots = graph.roots();
             let mut fams: std::collections::BTreeMap<Vec<usize>, Vec<NodeId>> =
                 std::collections::BTreeMap::new();
@@ -474,64 +423,26 @@ pub(crate) fn incognito_impl(
                 processed[nd as usize] = true;
             }
 
-            // Evaluate: plan every node against the wave-start cache, run
-            // store-backed plans serially (they mutate the store) and the
-            // rest on the pool. Scans inside a multi-node wave stay serial
-            // — the parallelism is across nodes; a lone node gets the
+            // Evaluate: plan every node against the wave-start cache, then
+            // run the plans, on the pool when the wave holds more than one
+            // node. Scans inside a multi-node wave stay serial — the
+            // parallelism is across nodes; a lone node gets the
             // row-parallel scan instead.
             let scan_threads = if wave.len() > 1 { 1 } else { cfg.threads };
-            let results: Vec<Result<Checked, AlgoError>> = {
-                let plans = wave
-                    .iter()
-                    .map(|&nd| {
-                        plan_freq(
-                            nd,
-                            cfg,
-                            &graph,
-                            &in_adj,
-                            &cache,
-                            &superroot_freq,
-                            cube,
-                            is_store,
-                            &qi_pos,
-                        )
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                let mut results: Vec<Option<Result<Checked, AlgoError>>> =
-                    plans.iter().map(|_| None).collect();
-                for ((slot, &nd), plan) in results.iter_mut().zip(&wave).zip(&plans) {
-                    if let FreqPlan::Store { spec } = plan {
-                        if let AltSource::Store(store) = &mut alt {
-                            *slot = Some(eval_store(store, cfg, &graph, nd, spec));
-                        }
-                    }
+            let plans = wave
+                .iter()
+                .map(|&nd| {
+                    plan_freq(nd, cfg, &graph, &in_adj, &cache, &superroot_freq, cube, &qi_pos)
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            let eval = |nd: NodeId, plan: &FreqPlan<'_>| {
+                eval_plan(provider, &schema, cfg, &graph, nd, plan, scan_threads)
+            };
+            let results: Vec<Result<Checked, AlgoError>> = match &pool {
+                Some(pool) if wave.len() > 1 => {
+                    pool.parallel_map(&wave, |i, &nd| eval(nd, &plans[i]))
                 }
-                let pending: Vec<usize> =
-                    (0..wave.len()).filter(|&i| results[i].is_none()).collect();
-                match &pool {
-                    Some(pool) if pending.len() > 1 => {
-                        let outs = pool.parallel_map(&pending, |_, &i| {
-                            eval_plan(provider, &schema, cfg, &graph, wave[i], &plans[i], scan_threads)
-                        });
-                        for (&i, out) in pending.iter().zip(outs) {
-                            results[i] = Some(out);
-                        }
-                    }
-                    _ => {
-                        for &i in &pending {
-                            results[i] = Some(eval_plan(
-                                provider,
-                                &schema,
-                                cfg,
-                                &graph,
-                                wave[i],
-                                &plans[i],
-                                scan_threads,
-                            ));
-                        }
-                    }
-                }
-                results.into_iter().map(|r| r.expect("every wave node evaluated")).collect()
+                _ => wave.iter().zip(&plans).map(|(&nd, plan)| eval(nd, plan)).collect(),
             };
 
             // Apply phase, strictly serial and in wave (ascending node id)

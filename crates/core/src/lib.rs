@@ -13,7 +13,8 @@
 //! * [`cube::cube_incognito`] — **Cube Incognito** (§3.3.2): pre-compute
 //!   the zero-generalization frequency sets of every quasi-identifier
 //!   subset bottom-up (data-cube style) and answer all root frequency sets
-//!   from them;
+//!   from them; a [`cube::Cube`] built once serves repeated anonymizations
+//!   through [`cube::anonymize_with_cube`];
 //! * [`bottom_up::bottom_up_search`] — the exhaustive bottom-up
 //!   breadth-first baseline of §2.2, with or without rollup;
 //! * [`binary_search::samarati_binary_search`] — Samarati's binary search
@@ -40,7 +41,6 @@ pub mod datafly;
 pub mod distance_matrix;
 mod error;
 pub mod incognito;
-pub mod materialize;
 pub mod muargus;
 pub mod provider;
 mod result;

@@ -44,7 +44,6 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
-use std::time::Duration;
 
 pub mod json;
 pub mod mem;
@@ -131,15 +130,6 @@ pub fn span(name: &str) -> Span {
     }
 }
 
-/// Record an externally measured duration against the named global timer.
-/// No-op while observation is disabled.
-#[inline]
-pub fn record_duration(name: &str, d: Duration) {
-    if enabled() {
-        global().timer(name).record(d);
-    }
-}
-
 /// Snapshot the global registry (works whether or not observation is
 /// currently enabled — it reads whatever has been recorded so far).
 pub fn snapshot() -> MetricsSnapshot {
@@ -176,17 +166,15 @@ mod tests {
         {
             let _s = span("lib.test.span");
         }
-        record_duration("lib.test.span", Duration::from_micros(3));
         set_enabled(false);
 
         let after = snapshot();
         assert_eq!(after.counter("lib.test.counter"), 6);
         let t = after.timer("lib.test.span");
-        assert_eq!(t.count, 2);
-        assert!(t.total >= Duration::from_micros(3));
+        assert_eq!(t.count, 1);
 
         let d = after.diff(&before);
         assert_eq!(d.counter("lib.test.counter"), 6);
-        assert_eq!(d.timer("lib.test.span").count, 2);
+        assert_eq!(d.timer("lib.test.span").count, 1);
     }
 }

@@ -65,6 +65,8 @@ fn main() {
             r.len(),
             t.elapsed().as_secs_f64()
         );
+        let rescan = run_incognito(&table, &qi, &Config::new(k)).expect("valid workload");
+        assert_eq!(r.generalizations(), rescan.generalizations(), "cube reuse at k = {k}");
     }
 
     // Suppression threshold: tolerate 0.1% outlier transactions.

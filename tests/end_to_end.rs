@@ -157,26 +157,6 @@ fn parallel_scans_do_not_change_any_algorithm_result() {
 }
 
 #[test]
-fn freq_store_serves_repeated_anonymizations() {
-    use incognito::algo::materialize::{incognito_with_store, FreqStore, MaterializationPolicy};
-    let table = adults(&AdultsConfig { rows: 8_000, seed: 11 });
-    let qi = [0usize, 1, 3];
-    let mut store = FreqStore::build(&table, &qi, MaterializationPolicy::ZeroCube).unwrap();
-    for k in [2u64, 10, 50] {
-        let via_store = incognito_with_store(&table, &qi, &Config::new(k), &mut store).unwrap();
-        let basic = run_incognito(&table, &qi, &Config::new(k)).unwrap();
-        assert_eq!(via_store.generalizations(), basic.generalizations(), "k={k}");
-    }
-    // Sub-QI runs are also served from the same store, still scan-free.
-    let sub = incognito_with_store(&table, &[0, 1], &Config::new(10), &mut store).unwrap();
-    assert_eq!(
-        sub.generalizations(),
-        run_incognito(&table, &[0, 1], &Config::new(10)).unwrap().generalizations()
-    );
-    assert_eq!(store.stats().misses, 0, "zero-cube store never rescans the table");
-}
-
-#[test]
 fn superroots_reduce_table_scans_without_changing_answers() {
     let table = adults(&AdultsConfig { rows: 10_000, seed: 10 });
     let qi = [0usize, 1, 2, 3, 4, 5];

@@ -12,7 +12,7 @@
 //! Figure 9 datasets.
 
 use incognito::algo::bottom_up::bottom_up_search;
-use incognito::algo::cube::cube_incognito;
+use incognito::algo::cube::{anonymize_with_cube, cube_incognito, Cube};
 use incognito::algo::{incognito as run_incognito, AnonymizationResult, Config};
 use incognito::data::{adults, lands_end, AdultsConfig, LandsEndConfig};
 use incognito::table::{ExternalFrequencySet, GroupSpec, Table};
@@ -110,11 +110,24 @@ fn superroots_incognito_is_budget_invariant() {
 fn cube_incognito_is_budget_invariant() {
     let t = table();
     let qi = qi();
-    for k in KS {
-        let reference = cube_incognito(&t, &qi, &Config::new(k).with_unlimited_memory()).unwrap();
+    let references: Vec<AnonymizationResult> = KS
+        .iter()
+        .map(|&k| cube_incognito(&t, &qi, &Config::new(k).with_unlimited_memory()).unwrap())
+        .collect();
+    for (k, reference) in KS.iter().zip(&references) {
         for (name, budget) in budgets() {
-            let r = cube_incognito(&t, &qi, &with_budget(Config::new(k), budget)).unwrap();
-            assert_matches(&t, &reference, &r, &format!("cube k={k} budget={name}"));
+            let r = cube_incognito(&t, &qi, &with_budget(Config::new(*k), budget)).unwrap();
+            assert_matches(&t, reference, &r, &format!("cube k={k} budget={name}"));
+        }
+    }
+    // One cube per budget, reused across every k: the repeated-anonymization
+    // workflow, with the cube's subsets spilled under a finite budget.
+    for (name, budget) in budgets() {
+        let cube = Cube::build_with_config(&t, &qi, &with_budget(Config::new(KS[0]), budget))
+            .unwrap();
+        for (k, reference) in KS.iter().zip(&references) {
+            let r = anonymize_with_cube(&t, &cube, &with_budget(Config::new(*k), budget)).unwrap();
+            assert_matches(&t, reference, &r, &format!("reused cube k={k} budget={name}"));
         }
     }
 }

@@ -5,7 +5,6 @@
 //! (DESIGN.md §8); this suite is the enforcement.
 
 use incognito::algo::cube::cube_incognito;
-use incognito::algo::materialize::{incognito_with_store, FreqStore, MaterializationPolicy};
 use incognito::algo::{incognito as run_incognito, AnonymizationResult, Config};
 use incognito::data::{adults, AdultsConfig};
 use incognito::table::Table;
@@ -80,26 +79,6 @@ fn cube_incognito_is_thread_count_invariant() {
 }
 
 #[test]
-fn store_backed_incognito_is_thread_count_invariant() {
-    let t = table();
-    let qi = qi();
-    for k in KS {
-        let mut ref_store =
-            FreqStore::build(&t, &qi, MaterializationPolicy::ZeroCube).unwrap();
-        let serial = Config::new(k).with_threads(1);
-        let reference = incognito_with_store(&t, &qi, &serial, &mut ref_store).unwrap();
-        for threads in THREADS {
-            // A fresh store per run: the store mutates as it answers.
-            let mut store =
-                FreqStore::build(&t, &qi, MaterializationPolicy::ZeroCube).unwrap();
-            let cfg = Config::new(k).with_threads(threads);
-            let r = incognito_with_store(&t, &qi, &cfg, &mut store).unwrap();
-            assert_matches(&reference, &r, &format!("store k={k} threads={threads}"));
-        }
-    }
-}
-
-#[test]
 fn engines_agree_with_each_other_at_every_thread_count() {
     let t = table();
     let qi = qi();
@@ -110,11 +89,7 @@ fn engines_agree_with_each_other_at_every_thread_count() {
             run_incognito(&t, &qi, &Config::new(2).with_superroots(true).with_threads(threads))
                 .unwrap();
         let cube = cube_incognito(&t, &qi, &cfg).unwrap();
-        let mut store = FreqStore::build(&t, &qi, MaterializationPolicy::ZeroCube).unwrap();
-        let stored = incognito_with_store(&t, &qi, &cfg, &mut store).unwrap();
-        for (label, r) in
-            [("superroots", &superroots), ("cube", &cube), ("store", &stored)]
-        {
+        for (label, r) in [("superroots", &superroots), ("cube", &cube)] {
             assert_eq!(
                 r.generalizations(),
                 basic.generalizations(),
