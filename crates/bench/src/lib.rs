@@ -75,27 +75,18 @@ impl Algo {
     }
 
     /// Run the algorithm; returns the result and wall-clock time. Uses the
-    /// process default thread count ([`Config::default_threads`]).
+    /// process default thread count ([`Config::default_threads`]) and
+    /// memory budget ([`Config::default_memory_budget`]).
     pub fn run(self, table: &Table, qi: &[usize], k: u64) -> (AnonymizationResult, Duration) {
-        self.run_with_threads(table, qi, k, Config::default_threads())
+        let (threads, budget) = (Config::default_threads(), Config::default_memory_budget());
+        self.run_with_opts(table, qi, k, threads, budget)
     }
 
-    /// [`Algo::run`] with an explicit worker-thread count (the bench
-    /// binaries' `--threads N` flag).
-    pub fn run_with_threads(
-        self,
-        table: &Table,
-        qi: &[usize],
-        k: u64,
-        threads: usize,
-    ) -> (AnonymizationResult, Duration) {
-        self.run_with_opts(table, qi, k, threads, Config::default_memory_budget())
-    }
-
-    /// [`Algo::run_with_threads`] with an explicit memory budget (the bench
-    /// binaries' `--mem-budget BYTES` flag). `None` means unlimited: every
-    /// frequency set stays in memory; with a budget, sets spill to disk
-    /// while the process's live bytes exceed it.
+    /// [`Algo::run`] with an explicit worker-thread count and memory
+    /// budget (the bench binaries' `--threads N` and `--mem-budget BYTES`
+    /// flags). A `None` budget means unlimited: every frequency set stays
+    /// in memory; with a budget, sets spill to disk while the process's
+    /// live bytes exceed it.
     pub fn run_with_opts(
         self,
         table: &Table,
@@ -110,10 +101,7 @@ impl Algo {
             Algo::BasicIncognito | Algo::CubeIncognito => Config::new(k),
             Algo::SuperRootsIncognito => Config::new(k).with_superroots(true),
         };
-        let cfg = match mem_budget {
-            Some(b) => cfg.with_threads(threads).with_memory_budget(b),
-            None => cfg.with_threads(threads).with_unlimited_memory(),
-        };
+        let cfg = apply_budget(cfg.with_threads(threads), mem_budget);
         let start = Instant::now();
         let result = match self {
             Algo::BottomUpNoRollup | Algo::BottomUpRollup => {
@@ -136,8 +124,8 @@ impl Algo {
 
 /// Apply an optional memory budget to a config: `Some` caps live bytes,
 /// `None` lifts any budget (including the `INCOGNITO_MEM_BUDGET`
-/// environment default). Shared by the bench binaries that build their
-/// own [`Config`] instead of going through [`Algo::run_with_opts`].
+/// environment default). Used by [`Algo::run_with_opts`] and by the bench
+/// binaries that build their own [`Config`].
 pub fn apply_budget(cfg: Config, mem_budget: Option<u64>) -> Config {
     match mem_budget {
         Some(b) => cfg.with_memory_budget(b),

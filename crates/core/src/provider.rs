@@ -243,14 +243,9 @@ impl<'t> FreqProvider<'t> {
                 self.maybe_upgrade(child)
             }
             FreqHandle::Rel { rel, spec } => {
-                if target.len() != spec.len() {
-                    let (want, got) = (spec.len(), target.len());
-                    let msg = format!("rollup target has {got} levels for {want} parts");
-                    return Err(TableError::IncompatibleSpec(msg).into());
-                }
+                let (child, _) = spec.rolled_up(schema, target)?;
                 let rel = rollup_sql(self.star(), rel, spec.parts(), target)?;
-                let parts = spec.parts().iter().zip(target).map(|(&(a, _), &l)| (a, l)).collect();
-                Ok(FreqHandle::Rel { rel, spec: GroupSpec::new(parts)? })
+                Ok(FreqHandle::Rel { rel, spec: child })
             }
         }
     }
@@ -380,6 +375,69 @@ mod tests {
     }
 
     #[test]
+    fn every_representation_rejects_bad_rollup_and_projection_targets() {
+        let t = patients();
+        let spec = GroupSpec::new(vec![(0, 1), (1, 1)]).unwrap();
+        let unlimited = Config::new(2).with_unlimited_memory();
+        let mem = FreqProvider::new(&t, &unlimited);
+        let ext = FreqProvider::new(&t, &Config::new(2).with_memory_budget(0));
+        let rel = FreqProvider::relational(&t, &[0, 1, 2], &unlimited).unwrap();
+        for (label, p) in [("mem", &mem), ("ext", &ext), ("rel", &rel)] {
+            let h = p.scan(&spec, 1).unwrap();
+            assert_eq!(h.is_spilled(), label == "ext", "{label}");
+            assert!(p.rollup(&h, t.schema(), &[0, 1]).is_err(), "{label}: downward rollup");
+            if label != "rel" {
+                assert!(p.project(&h, &[1, 0]).is_err(), "{label}: unordered projection");
+            }
+        }
+    }
+
+    /// The `incognito-spill-*` directories directly under `root`.
+    fn spill_dirs(root: &std::path::Path) -> Vec<PathBuf> {
+        let Ok(entries) = std::fs::read_dir(root) else { return Vec::new() };
+        let is_spill = |n: &std::ffi::OsStr| n.to_string_lossy().starts_with("incognito-spill-");
+        entries
+            .filter_map(|e| e.ok())
+            .map(|e| e.path())
+            .filter(|p| p.file_name().is_some_and(is_spill))
+            .collect()
+    }
+
+    #[test]
+    fn a_missing_partition_file_is_a_spill_error() {
+        let t = patients();
+        let root = std::env::temp_dir()
+            .join(format!("incognito-missing-partition-test-{}", std::process::id()));
+        let cfg = Config::new(2).with_memory_budget(0).with_spill_dir(&root);
+        let p = FreqProvider::new(&t, &cfg);
+        let h = p.scan(&GroupSpec::ground(&[0, 1, 2]).unwrap(), 1).unwrap();
+        assert!(h.is_spilled());
+        let dirs = spill_dirs(&root);
+        assert_eq!(dirs.len(), 1);
+        std::fs::remove_file(dirs[0].join("part-0.bin")).unwrap();
+        assert!(matches!(h.is_k_anonymous(2), Err(AlgoError::Spill(_))));
+        assert!(matches!(h.tuples_below(2), Err(AlgoError::Spill(_))));
+        drop(h);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_spill_root_that_is_a_file_fails_the_scan_and_leaves_nothing() {
+        let t = patients();
+        let parent = std::env::temp_dir()
+            .join(format!("incognito-file-root-test-{}", std::process::id()));
+        std::fs::create_dir_all(&parent).unwrap();
+        let root = parent.join("not-a-directory");
+        std::fs::write(&root, b"occupied").unwrap();
+        let cfg = Config::new(2).with_memory_budget(0).with_spill_dir(&root);
+        let p = FreqProvider::new(&t, &cfg);
+        assert!(p.scan(&GroupSpec::ground(&[0, 1]).unwrap(), 1).is_err());
+        assert!(spill_dirs(&parent).is_empty(), "a failed scan leaves no spill directory");
+        assert_eq!(std::fs::read(&root).unwrap(), b"occupied", "the file is untouched");
+        let _ = std::fs::remove_dir_all(&parent);
+    }
+
+    #[test]
     fn spill_dir_config_redirects_spill_files() {
         let t = patients();
         let root = std::env::temp_dir()
@@ -389,12 +447,7 @@ mod tests {
         let spec = GroupSpec::ground(&[0, 1]).unwrap();
         let h = p.scan(&spec, 1).unwrap();
         assert!(h.is_spilled());
-        let subdirs = std::fs::read_dir(&root)
-            .expect("configured spill root was created")
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().starts_with("incognito-spill-"))
-            .count();
-        assert_eq!(subdirs, 1, "the set spills under the configured root");
+        assert_eq!(spill_dirs(&root).len(), 1, "the set spills under the configured root");
         drop(h);
         assert_eq!(
             std::fs::read_dir(&root).unwrap().count(),

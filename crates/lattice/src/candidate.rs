@@ -66,7 +66,6 @@ pub fn generate_next(
     strategy: PruneStrategy,
 ) -> CandidateGraph {
     assert_eq!(alive.len(), prev.num_nodes(), "aliveness vector must cover all nodes");
-    let _span = incognito_obs::span("lattice.generate.time");
     let mut tspan = incognito_obs::trace::span("candidate.generate")
         .arg("arity", (prev.arity() + 1) as u64);
     incognito_obs::incr("lattice.generate.count");
@@ -75,7 +74,6 @@ pub fn generate_next(
     // ---- Join phase -------------------------------------------------------
     // Bucket survivors by their first (arity_prev - 1) components; within a
     // bucket, pair p, q with p's last attribute < q's last attribute.
-    let join_span = incognito_obs::span("lattice.generate.join.time");
     let join_tspan = incognito_obs::trace::span("lattice.join");
     let survivors: Vec<NodeId> = (0..prev.num_nodes() as NodeId)
         .filter(|&id| alive[id as usize])
@@ -151,7 +149,6 @@ pub fn generate_next(
             }
         }
     }
-    join_span.finish();
     join_tspan
         .arg("survivors_in", survivors.len() as u64)
         .arg("pruned", pruned)
@@ -161,10 +158,8 @@ pub fn generate_next(
     incognito_obs::add("lattice.generate.candidates_out", nodes.len() as u64);
 
     // ---- Edge generation --------------------------------------------------
-    let edge_span = incognito_obs::span("lattice.generate.edges.time");
     let edge_tspan = incognito_obs::trace::span("lattice.edges");
     let edges = generate_edges(prev, &nodes);
-    edge_span.finish();
     edge_tspan.arg("edges_out", edges.len() as u64).finish();
     incognito_obs::add("lattice.generate.edges_out", edges.len() as u64);
     tspan.set_arg("candidates_out", nodes.len() as u64);

@@ -5,17 +5,17 @@
 //! phase. This crate is the shared instrumentation layer that makes those
 //! numbers first-class across the stack:
 //!
-//! * [`MetricsRegistry`] — named atomic counters and timers, snapshotted to
-//!   an immutable [`MetricsSnapshot`] that supports `diff`.
-//! * [`Span`] — RAII monotonic-clock timing; a no-op unless observation is
-//!   enabled.
+//! * [`MetricsRegistry`] — named atomic counters and gauges, snapshotted
+//!   to an immutable [`MetricsSnapshot`] that supports `diff`.
 //! * [`Json`] / [`RunReport`] — a hand-rolled (zero-dependency) JSON value
 //!   with writer and parser, and the `BENCH_<name>.json` report builder the
 //!   bench bins emit alongside their CSVs.
 //! * [`trace`] — hierarchical trace trees: nesting [`TraceSpan`]s with
 //!   key/value args, exported as Chrome Trace Event Format JSON for
 //!   Perfetto / `chrome://tracing` (gated by its own flag, see the module
-//!   docs).
+//!   docs). Spans are the one record of durations: each layer's time
+//!   (`table.scan`, `table.rollup`, `candidate.generate`, …) is read from
+//!   a trace through [`trace::profile`], not from a metric.
 //! * [`mem`] — a tracking `#[global_allocator]` wrapping `System`:
 //!   per-thread and global allocation counters (live bytes, peak
 //!   high-water, alloc counts) that trace spans attribute to themselves
@@ -29,12 +29,12 @@
 //!
 //! # Overhead contract
 //!
-//! All recording funnels through a single process-global `AtomicBool`
-//! (relaxed load). When observation is **disabled** (the default) every
-//! probe — counter adds included — is one relaxed load and a branch;
-//! instrumented code records at *call* granularity (one add of `n_rows` per
-//! scan, never one per row), so the disabled cost is unmeasurable against
-//! any real scan or group-by. Benchmarks and examples opt in with
+//! All metric recording funnels through a single process-global
+//! `AtomicBool` (relaxed load). When observation is **disabled** (the
+//! default) every probe is one relaxed load and a branch; instrumented
+//! code records at *call* granularity (one add of `n_rows` per scan,
+//! never one per row), so the disabled cost is unmeasurable against any
+//! real scan or group-by. Benchmarks and examples opt in with
 //! [`set_enabled`]`(true)`.
 
 // `deny`, not `forbid`: the `mem` module needs `unsafe impl GlobalAlloc`
@@ -50,18 +50,13 @@ pub mod mem;
 pub mod metrics;
 pub mod report;
 pub mod rng;
-pub mod span;
 pub mod trace;
 
 pub use json::{Json, JsonError};
 pub use mem::MemStats;
-pub use metrics::{
-    CounterHandle, GaugeHandle, MetricValue, MetricsRegistry, MetricsSnapshot, TimerHandle,
-    TimerValue,
-};
+pub use metrics::{CounterHandle, GaugeHandle, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use report::RunReport;
 pub use rng::Rng;
-pub use span::Span;
 pub use trace::{TraceRecord, TraceSpan};
 
 /// Process-global switch for all observation. Off by default.
@@ -118,18 +113,6 @@ pub fn gauge_add(name: &str, v: i64) {
     }
 }
 
-/// Open a timing span against the named global timer. Returns an inert
-/// span (no clock read, nothing recorded on drop) while observation is
-/// disabled.
-#[inline]
-pub fn span(name: &str) -> Span {
-    if enabled() {
-        Span::active(global().timer(name))
-    } else {
-        Span::inert()
-    }
-}
-
 /// Snapshot the global registry (works whether or not observation is
 /// currently enabled — it reads whatever has been recorded so far).
 pub fn snapshot() -> MetricsSnapshot {
@@ -153,28 +136,22 @@ mod tests {
     fn global_probes_respect_the_enabled_flag() {
         set_enabled(false);
         add("lib.test.counter", 5);
-        {
-            let _s = span("lib.test.span");
-        }
+        gauge_set("lib.test.gauge", 3);
         let before = snapshot();
         assert_eq!(before.counter("lib.test.counter"), 0);
-        assert_eq!(before.timer("lib.test.span").count, 0);
+        assert_eq!(before.gauge("lib.test.gauge"), 0);
 
         set_enabled(true);
         add("lib.test.counter", 5);
         incr("lib.test.counter");
-        {
-            let _s = span("lib.test.span");
-        }
+        gauge_set("lib.test.gauge", 3);
         set_enabled(false);
 
         let after = snapshot();
         assert_eq!(after.counter("lib.test.counter"), 6);
-        let t = after.timer("lib.test.span");
-        assert_eq!(t.count, 1);
+        assert_eq!(after.gauge("lib.test.gauge"), 3);
 
         let d = after.diff(&before);
         assert_eq!(d.counter("lib.test.counter"), 6);
-        assert_eq!(d.timer("lib.test.span").count, 1);
     }
 }

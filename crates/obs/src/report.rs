@@ -8,7 +8,7 @@
 
 use std::io;
 use std::path::Path;
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::json::Json;
 use crate::metrics::{MetricValue, MetricsSnapshot};
@@ -82,43 +82,17 @@ impl RunReport {
     }
 }
 
-/// Render a snapshot as an ordered JSON object: counters become integers,
-/// timers become `{count, total_ns, mean_ns, max_ns, hist}` where `hist`
-/// lists the non-empty power-of-two buckets as `[bit_length, count]`
-/// pairs.
+/// Render a snapshot as an ordered JSON object of integers, one per
+/// counter and gauge.
 pub fn snapshot_to_json(snapshot: &MetricsSnapshot) -> Json {
     let mut obj = Json::obj();
     for (name, value) in snapshot.iter() {
         match value {
-            MetricValue::Counter(v) => {
-                obj.set(name, *v);
-            }
-            MetricValue::Gauge(v) => {
-                obj.set(name, *v);
-            }
-            MetricValue::Timer(t) => {
-                let mut timer = Json::obj();
-                timer.set("count", t.count);
-                timer.set("total_ns", duration_ns(t.total));
-                timer.set("mean_ns", duration_ns(t.mean()));
-                timer.set("max_ns", duration_ns(t.max));
-                let hist: Vec<Json> = t
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &n)| n > 0)
-                    .map(|(bit, &n)| Json::Arr(vec![Json::from(bit), Json::from(n)]))
-                    .collect();
-                timer.set("hist", Json::Arr(hist));
-                obj.set(name, timer);
-            }
-        }
+            MetricValue::Counter(v) => obj.set(name, *v),
+            MetricValue::Gauge(v) => obj.set(name, *v),
+        };
     }
     obj
-}
-
-fn duration_ns(d: Duration) -> u64 {
-    d.as_nanos().min(u64::MAX as u128) as u64
 }
 
 /// Seconds since the unix epoch (0 if the clock is before it).
@@ -160,16 +134,13 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_renders_counters_and_timers() {
+    fn snapshot_renders_counters_and_gauges() {
         let reg = MetricsRegistry::new();
         reg.counter("table.scan.count").add(3);
-        reg.timer("table.scan.time").record(Duration::from_micros(10));
+        reg.gauge("table.spill.bytes").set(-2);
         let j = snapshot_to_json(&reg.snapshot());
         assert_eq!(j.get("table.scan.count").and_then(Json::as_int), Some(3));
-        let t = j.get("table.scan.time").unwrap();
-        assert_eq!(t.get("count").and_then(Json::as_int), Some(1));
-        assert_eq!(t.get("total_ns").and_then(Json::as_int), Some(10_000));
-        assert_eq!(t.get("hist").and_then(Json::as_arr).unwrap().len(), 1);
+        assert_eq!(j.get("table.spill.bytes").and_then(Json::as_int), Some(-2));
     }
 
     #[test]

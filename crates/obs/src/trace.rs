@@ -1,8 +1,7 @@
 //! Hierarchical trace trees: nested spans serialized to Chrome Trace
 //! Event Format, loadable in Perfetto or `chrome://tracing`.
 //!
-//! Where [`crate::span`] feeds flat *timers* (aggregate count/total/max),
-//! a [`TraceSpan`] records one **event per occurrence** with its position
+//! A [`TraceSpan`] records one **event per occurrence** with its position
 //! in the call tree: each thread keeps a stack of open spans, a span's
 //! parent is whatever was on top of that stack when it opened (or, via
 //! [`current`] and [`span_under`], a span open on another thread — how a

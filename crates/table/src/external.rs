@@ -469,33 +469,7 @@ impl ExternalFrequencySet {
         target: &[LevelNo],
         spill_root: &Path,
     ) -> Result<ExternalFrequencySet, ExternalError> {
-        if target.len() != self.spec.len() {
-            return Err(TableError::IncompatibleSpec(format!(
-                "rollup target has {} levels for {} grouped attributes",
-                target.len(),
-                self.spec.len()
-            ))
-            .into());
-        }
-        let mut maps: Vec<&[ValueId]> = Vec::with_capacity(target.len());
-        let mut parts = Vec::with_capacity(target.len());
-        for (&(a, from), &to) in self.spec.parts().iter().zip(target) {
-            let h = schema.hierarchy(a);
-            if to < from {
-                return Err(TableError::IncompatibleSpec(format!(
-                    "cannot roll attribute {a} down from level {from} to {to}"
-                ))
-                .into());
-            }
-            let m = h.between_map(from, to).map_err(|_| TableError::LevelOutOfRange {
-                attribute: schema.attribute(a).name().to_string(),
-                level: to,
-                height: h.height(),
-            })?;
-            maps.push(m);
-            parts.push((a, to));
-        }
-        let spec = GroupSpec::new(parts)?;
+        let (spec, maps) = self.spec.rolled_up(schema, target)?;
         let mut span = incognito_obs::trace::span("spill.rollup")
             .arg("partitions", self.partitions.len() as u64);
         let child = self.derive(spec, spill_root, |key| {
@@ -510,25 +484,14 @@ impl ExternalFrequencySet {
     }
 
     /// The Subset Property (§3.3.2), out-of-core: keep only the key
-    /// positions in `keep` (indices into this set's parts, in output
-    /// order) and re-sum. Mirrors [`FrequencySet::project`].
+    /// positions in `keep` (strictly increasing indices into this set's
+    /// parts) and re-sum. Mirrors [`FrequencySet::project`].
     pub fn project(
         &self,
         keep: &[usize],
         spill_root: &Path,
     ) -> Result<ExternalFrequencySet, ExternalError> {
-        let mut parts = Vec::with_capacity(keep.len());
-        for &i in keep {
-            let Some(&part) = self.spec.parts().get(i) else {
-                return Err(TableError::IncompatibleSpec(format!(
-                    "project position {i} out of range for {} grouped attributes",
-                    self.spec.len()
-                ))
-                .into());
-            };
-            parts.push(part);
-        }
-        let spec = GroupSpec::new(parts)?;
+        let spec = self.spec.projected(keep)?;
         let mut span = incognito_obs::trace::span("spill.project")
             .arg("partitions", self.partitions.len() as u64);
         let child = self.derive(spec, spill_root, |key| {

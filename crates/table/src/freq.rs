@@ -5,7 +5,8 @@
 //! `SELECT COUNT(*) ... GROUP BY Q1, ..., Qn`. The Incognito algorithms
 //! manipulate frequency sets three ways:
 //!
-//! * [`FrequencySet::scan`] computes one from the base table (a table scan);
+//! * [`Table::frequency_set`] computes one from the base table (a table
+//!   scan);
 //! * [`FrequencySet::rollup`] generalizes one to higher levels by summing
 //!   counts along the dimension hierarchies (the **Rollup Property**, §3);
 //! * [`FrequencySet::project`] drops attributes and re-sums (used by Cube
@@ -89,6 +90,55 @@ impl GroupSpec {
             }
         }
         Ok(())
+    }
+
+    /// The spec this one rolls up to at `target` levels, and the
+    /// `between_map` carrying each part's values there: the one check of
+    /// a rollup target for every frequency-set representation. `target`
+    /// holds one level per part, none below the part's current level and
+    /// none above its hierarchy's height.
+    pub fn rolled_up<'s>(
+        &self,
+        schema: &'s Schema,
+        target: &[LevelNo],
+    ) -> Result<(GroupSpec, Vec<&'s [ValueId]>), TableError> {
+        if target.len() != self.len() {
+            return Err(TableError::IncompatibleSpec(format!(
+                "rollup target has {} levels, spec has {}",
+                target.len(),
+                self.len()
+            )));
+        }
+        let mut maps = Vec::with_capacity(target.len());
+        for (&(a, from), &to) in self.parts.iter().zip(target) {
+            if to < from {
+                return Err(TableError::IncompatibleSpec(format!(
+                    "cannot roll attribute {a} down from level {from} to {to}"
+                )));
+            }
+            let h = schema.hierarchy(a);
+            // Memoized at hierarchy construction — an O(1) borrow per part.
+            maps.push(h.between_map(from, to).map_err(|_| TableError::LevelOutOfRange {
+                attribute: schema.attribute(a).name().to_string(),
+                level: to,
+                height: h.height(),
+            })?);
+        }
+        let parts = self.parts.iter().zip(target).map(|(&(a, _), &l)| (a, l)).collect();
+        Ok((GroupSpec { parts }, maps))
+    }
+
+    /// The spec keeping only the parts at positions `keep`, which must be
+    /// strictly increasing and in range: the one check of a projection
+    /// for every frequency-set representation.
+    pub fn projected(&self, keep: &[usize]) -> Result<GroupSpec, TableError> {
+        if keep.iter().any(|&p| p >= self.len()) || keep.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(TableError::IncompatibleSpec(format!(
+                "projection positions must be strictly increasing and < {}",
+                self.len()
+            )));
+        }
+        Ok(GroupSpec { parts: keep.iter().map(|&p| self.parts[p]).collect() })
     }
 }
 
@@ -286,12 +336,17 @@ pub struct FrequencySet {
 
 impl FrequencySet {
     /// Compute by scanning `table` (the spec must already be validated).
-    pub(crate) fn scan(table: &Table, spec: &GroupSpec) -> FrequencySet {
-        let _span = incognito_obs::span("table.scan.time");
-        let mut tspan = incognito_obs::trace::span("table.scan")
-            .arg("rows", table.num_rows() as u64);
+    /// With `threads > 1` the rows split into one contiguous range per
+    /// worker thread, each worker builds a local map, and the shards are
+    /// merged — the same counts, since counts add associatively. Tables
+    /// under two rows per worker scan serially.
+    pub(crate) fn scan(table: &Table, spec: &GroupSpec, threads: usize) -> FrequencySet {
+        let nrows = table.num_rows();
+        let threads = threads.clamp(1, nrows.max(1));
+        let threads = if nrows < 2 * threads { 1 } else { threads };
+        let mut tspan = incognito_obs::trace::span("table.scan").arg("rows", nrows as u64);
         incognito_obs::incr("table.scan.count");
-        incognito_obs::add("table.scan.rows", table.num_rows() as u64);
+        incognito_obs::add("table.scan.rows", nrows as u64);
         let schema = table.schema();
         let maps: Vec<&[ValueId]> = spec
             .parts
@@ -299,9 +354,35 @@ impl FrequencySet {
             .map(|&(a, l)| schema.hierarchy(a).map_to_level(l))
             .collect();
         let cols: Vec<&[ValueId]> = spec.parts.iter().map(|&(a, _)| table.column(a)).collect();
-        let nrows = table.num_rows();
         let space = KeySpace::for_spec(schema, spec);
-        let counts = Self::scan_rows(&cols, &maps, 0..nrows, &space);
+        let counts = if threads == 1 {
+            Self::scan_rows(&cols, &maps, 0..nrows, &space)
+        } else {
+            tspan.set_arg("threads", threads as u64);
+            incognito_obs::incr("table.scan.parallel");
+            let chunk = nrows.div_ceil(threads);
+            let mut shards: Vec<FxHashMap<GroupKey, u64>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|t| {
+                        let (cols, maps, space) = (&cols, &maps, &space);
+                        let rows = t * chunk..((t + 1) * chunk).min(nrows);
+                        scope.spawn(move || Self::scan_rows(cols, maps, rows, space))
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().expect("scan worker panicked")).collect()
+            });
+            // Merge into the largest shard to minimize rehashing, reserving
+            // for the worst case (all groups distinct across shards) up front.
+            let biggest = (0..shards.len()).max_by_key(|&i| shards[i].len()).unwrap_or(0);
+            let mut counts = shards.swap_remove(biggest);
+            counts.reserve(shards.iter().map(|s| s.len()).sum());
+            for shard in shards {
+                for (k, c) in shard {
+                    *counts.entry(k).or_insert(0) += c;
+                }
+            }
+            counts
+        };
         tspan.set_arg("groups", counts.len() as u64);
         FrequencySet { spec: spec.clone(), counts, total: nrows as u64 }
     }
@@ -377,69 +458,6 @@ impl FrequencySet {
         counts
     }
 
-    /// Compute by scanning `table` with `threads` worker threads: rows are
-    /// sharded, each worker builds a local frequency map, and the shards
-    /// are merged. Exactly equivalent to [`FrequencySet::scan`] (counts are
-    /// associative); worthwhile once the table is large enough that the
-    /// scan dominates the merge (hundreds of thousands of rows).
-    pub(crate) fn scan_parallel(table: &Table, spec: &GroupSpec, threads: usize) -> FrequencySet {
-        let nrows = table.num_rows();
-        let threads = threads.clamp(1, nrows.max(1));
-        if threads == 1 || nrows < 2 * threads {
-            return FrequencySet::scan(table, spec);
-        }
-        let _span = incognito_obs::span("table.scan.time");
-        let mut tspan = incognito_obs::trace::span("table.scan")
-            .arg("rows", nrows as u64)
-            .arg("threads", threads as u64);
-        incognito_obs::incr("table.scan.count");
-        incognito_obs::incr("table.scan.parallel");
-        incognito_obs::add("table.scan.rows", nrows as u64);
-        let schema = table.schema();
-        let maps: Vec<&[ValueId]> = spec
-            .parts
-            .iter()
-            .map(|&(a, l)| schema.hierarchy(a).map_to_level(l))
-            .collect();
-        let cols: Vec<&[ValueId]> = spec.parts.iter().map(|&(a, _)| table.column(a)).collect();
-
-        let chunk = nrows.div_ceil(threads);
-        let space = KeySpace::for_spec(schema, spec);
-        let mut shards: Vec<FxHashMap<GroupKey, u64>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let maps = &maps;
-                    let cols = &cols;
-                    let space = &space;
-                    scope.spawn(move || {
-                        let lo = t * chunk;
-                        let hi = ((t + 1) * chunk).min(nrows);
-                        Self::scan_rows(cols, maps, lo..hi, space)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("scan worker panicked")).collect()
-        });
-
-        // Merge into the largest shard to minimize rehashing, reserving
-        // for the worst case (all groups distinct across shards) up front.
-        let biggest = shards
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, m)| m.len())
-            .map(|(i, _)| i)
-            .expect("at least one shard");
-        let mut counts = shards.swap_remove(biggest);
-        counts.reserve(shards.iter().map(|s| s.len()).sum());
-        for shard in shards {
-            for (k, c) in shard {
-                *counts.entry(k).or_insert(0) += c;
-            }
-        }
-        tspan.set_arg("groups", counts.len() as u64);
-        FrequencySet { spec: spec.clone(), counts, total: nrows as u64 }
-    }
-
     /// Assemble a frequency set from raw parts (used by the out-of-core
     /// pipeline when upgrading to the in-memory representation).
     pub(crate) fn from_parts(
@@ -510,39 +528,11 @@ impl FrequencySet {
     /// `target` (one level per spec part, each ≥ the current level) by
     /// mapping each group through γ and summing counts — no table scan.
     pub fn rollup(&self, schema: &Schema, target: &[LevelNo]) -> Result<FrequencySet, TableError> {
-        let _span = incognito_obs::span("table.rollup.time");
+        let (spec, maps) = self.spec.rolled_up(schema, target)?;
         let mut tspan = incognito_obs::trace::span("table.rollup")
             .arg("groups_in", self.counts.len() as u64);
-        if target.len() != self.spec.len() {
-            return Err(TableError::IncompatibleSpec(format!(
-                "rollup target has {} levels, spec has {}",
-                target.len(),
-                self.spec.len()
-            )));
-        }
-        let mut maps: Vec<&[ValueId]> = Vec::with_capacity(target.len());
-        for (&(a, from), &to) in self.spec.parts.iter().zip(target) {
-            let h = schema.hierarchy(a);
-            if to < from {
-                return Err(TableError::IncompatibleSpec(format!(
-                    "cannot roll attribute {a} down from level {from} to {to}"
-                )));
-            }
-            // Memoized at hierarchy construction — an O(1) borrow per part.
-            let m = h.between_map(from, to).map_err(|_| TableError::LevelOutOfRange {
-                attribute: schema.attribute(a).name().to_string(),
-                level: to,
-                height: h.height(),
-            })?;
-            maps.push(m);
-        }
-        let dims: Vec<u64> = self
-            .spec
-            .parts
-            .iter()
-            .zip(target)
-            .map(|(&(a, _), &to)| schema.hierarchy(a).level_size(to) as u64)
-            .collect();
+        let dims: Vec<u64> =
+            spec.parts.iter().map(|&(a, l)| schema.hierarchy(a).level_size(l) as u64).collect();
         let space = KeySpace::new(&dims);
         let counts = if space.is_dense() {
             incognito_obs::incr("table.rollup.dense");
@@ -569,14 +559,6 @@ impl FrequencySet {
             }
             counts
         };
-        let spec = GroupSpec::new(
-            self.spec
-                .parts
-                .iter()
-                .zip(target)
-                .map(|(&(a, _), &l)| (a, l))
-                .collect(),
-        )?;
         incognito_obs::incr("table.rollup.count");
         incognito_obs::add("table.rollup.groups_in", self.counts.len() as u64);
         incognito_obs::add("table.rollup.groups_out", counts.len() as u64);
@@ -589,19 +571,9 @@ impl FrequencySet {
     /// Used by Cube Incognito to derive subset frequency sets from wider
     /// ones, data-cube style.
     pub fn project(&self, keep: &[usize]) -> Result<FrequencySet, TableError> {
-        let _span = incognito_obs::span("table.project.time");
+        let spec = self.spec.projected(keep)?;
         let mut tspan = incognito_obs::trace::span("table.project")
             .arg("groups_in", self.counts.len() as u64);
-        let mut prev: Option<usize> = None;
-        for &p in keep {
-            if p >= self.spec.len() || prev.is_some_and(|q| q >= p) {
-                return Err(TableError::IncompatibleSpec(format!(
-                    "projection positions must be strictly increasing and < {}",
-                    self.spec.len()
-                )));
-            }
-            prev = Some(p);
-        }
         // `project` has no schema in scope, so derive the kept positions'
         // cardinalities from the data: one cheap hash-free max pass.
         let mut dims = vec![0u64; keep.len()];
@@ -641,7 +613,6 @@ impl FrequencySet {
             }
             counts
         };
-        let spec = GroupSpec::new(keep.iter().map(|&p| self.spec.parts[p]).collect())?;
         incognito_obs::incr("table.project.count");
         incognito_obs::add("table.project.groups_in", self.counts.len() as u64);
         incognito_obs::add("table.project.groups_out", counts.len() as u64);

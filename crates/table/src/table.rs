@@ -135,7 +135,7 @@ impl Table {
     /// + projection of Figure 4). One full scan of the involved columns.
     pub fn frequency_set(&self, spec: &GroupSpec) -> Result<FrequencySet, TableError> {
         spec.validate(&self.schema)?;
-        Ok(FrequencySet::scan(self, spec))
+        Ok(FrequencySet::scan(self, spec, 1))
     }
 
     /// Like [`Table::frequency_set`], sharding the scan over `threads`
@@ -148,7 +148,7 @@ impl Table {
         threads: usize,
     ) -> Result<FrequencySet, TableError> {
         spec.validate(&self.schema)?;
-        Ok(FrequencySet::scan_parallel(self, spec, threads))
+        Ok(FrequencySet::scan(self, spec, threads))
     }
 
     /// Convenience: is this table k-anonymous with respect to the given
@@ -179,7 +179,6 @@ impl Table {
         levels: &[LevelNo],
         suppress: Option<(u64, &[usize])>,
     ) -> Result<(Table, u64), TableError> {
-        let _span = incognito_obs::span("table.generalize.time");
         let mut tspan = incognito_obs::trace::span("table.generalize")
             .arg("rows", self.num_rows() as u64);
         if levels.len() != self.schema.arity() {

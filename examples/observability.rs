@@ -95,15 +95,12 @@ fn phase_table(label: &str, stats: &SearchStats) {
     );
 }
 
-/// One metric rendered for the comparison table: counters as counts,
-/// timers as their total in milliseconds.
+/// One counter or gauge for the comparison table, `-` when the run did
+/// not record it. Per-layer durations are trace spans, not metrics.
 fn fmt_metric(s: &MetricsSnapshot, name: &str) -> String {
     match s.iter().find(|(n, _)| *n == name) {
         Some((_, MetricValue::Counter(v))) => v.to_string(),
         Some((_, MetricValue::Gauge(v))) => v.to_string(),
-        Some((_, MetricValue::Timer(t))) => {
-            format!("{:.2}ms/{}", t.total.as_secs_f64() * 1e3, t.count)
-        }
         None => "-".to_string(),
     }
 }

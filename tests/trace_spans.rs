@@ -1,6 +1,6 @@
 //! The trace tree is the one record of what a search did. Running an
 //! engine with tracing enabled must produce a span forest nesting
-//! search → iteration → node-check → table scan/rollup, with one `mark`
+//! search → iteration → node-check → scan/rollup, with one `mark`
 //! span per node marked through the generalization property — at every
 //! thread count, where a wave's checks sit one level down inside the
 //! `exec.task` spans that ran them. The spans must agree with
@@ -11,7 +11,7 @@
 //! Trace collection is process-global, so this file holds exactly one
 //! test function.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use incognito::algo::cube::cube_incognito;
 use incognito::algo::{incognito as run_incognito, AlgoError, AnonymizationResult, Config};
@@ -155,27 +155,30 @@ fn incognito_run_emits_nested_iteration_check_scan_spans() {
     }
 
     // Every check nests under an iteration (through exec.task at any
-    // thread count), and at least one table scan and one rollup nest
-    // under checks — the full chain.
+    // thread count) and reads exactly one frequency set, the way its
+    // `via` names: a base-table scan or a rollup, in memory (`table.*`)
+    // or spilled under a memory budget (`spill.*`). The run holds both
+    // kinds — the full chain.
     assert_matches_stats("default threads", &result, &records);
-    let mut scans_under_checks = 0;
-    let mut rollups_under_checks = 0;
+    let source = |name: &str| match name {
+        "table.scan" | "spill.build" => Some("scan"),
+        "table.rollup" | "spill.rollup" => Some("rollup"),
+        _ => None,
+    };
+    let mut sources: BTreeMap<u64, Vec<&str>> =
+        records.iter().filter(|r| r.name == "check").map(|r| (r.seq, Vec::new())).collect();
     for r in &records {
-        if r.name != "table.scan" && r.name != "table.rollup" {
-            continue;
-        }
-        if let Some(p) = r.parent {
-            if find(p).name == "check" {
-                if r.name == "table.scan" {
-                    scans_under_checks += 1;
-                } else {
-                    rollups_under_checks += 1;
-                }
-            }
+        let check = r.parent.and_then(|p| sources.get_mut(&p));
+        if let (Some(kind), Some(check)) = (source(&r.name), check) {
+            check.push(kind);
         }
     }
-    assert!(scans_under_checks > 0, "table.scan spans nest under checks");
-    assert!(rollups_under_checks > 0, "table.rollup spans nest under checks");
+    for (&seq, kinds) in &sources {
+        let via = text(find(seq), "via");
+        assert_eq!(kinds, &[via.as_str()], "check {seq} reads one frequency set via {via}");
+    }
+    let kinds: BTreeSet<&str> = sources.values().flatten().copied().collect();
+    assert_eq!(kinds, BTreeSet::from(["rollup", "scan"]), "scan- and rollup-sourced checks");
 
     // Candidate generation runs at the end of each iteration, under it.
     let gen = records.iter().find(|r| r.name == "candidate.generate").expect("lattice spans");
